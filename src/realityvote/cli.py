@@ -49,6 +49,8 @@ def parse_mechanism(spec: str) -> Mechanism:
     head = tokens[0]
     if ":" in head:
         name, _, raw_tau = head.partition(":")
+        if name not in rules.THRESHOLD_RULES:
+            raise MechanismMismatch(f"base rule {name!r} takes no threshold")
         base_tau = as_fraction(Fraction(raw_tau))
     else:
         name, base_tau = head, Fraction(0)

@@ -20,6 +20,7 @@ from . import proxy, verifier
 from .errors import DegenerateParams, SampleTooLarge
 from .guarantees import Setting, safety_threshold
 from .population import Profile, Rational, VoterClass, as_fraction, build_profile
+from .rules import Mechanism
 
 
 @dataclass(frozen=True)
@@ -177,10 +178,11 @@ def run_proxy_whp(exp: Experiment, c: Rational) -> TrialStats:
     bound = float((1 - c)) ** exp.n_plus
     violations = 0
     y_failures = 0
+    # One sorted index of the template serves every trial (sample_and_run
+    # would rebuild it per call).
+    index = proxy._ProxyIndex(exp.profile, tau)
     for trial in range(exp.trials):
-        z, analysis = proxy.sample_and_run(
-            exp.profile, exp.n_plus, tau, _trial_seed(exp.seed, trial)
-        )
+        z, analysis = index.sample(exp.n_plus, _trial_seed(exp.seed, trial))
         if not region.contains(z):
             violations += 1
         if analysis.j_hat > c * h:

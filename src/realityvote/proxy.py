@@ -5,13 +5,21 @@ the status quo participates as a proxy carrying the virtual vote mass.  The
 proxy median is the weighted median of the active entities.  The analysis
 helpers compute the quantities used to certify the mechanism's safety
 envelope on concrete instances.
+
+Every function here runs on one sorted integer index of the population
+(``_ProxyIndex``): positions scaled to a common integer denominator and
+sorted once, so a delegation segment's follower count is two bisections and
+a Monte Carlo trial costs O(n+ log n) integer work for n+ drawn actives.
+Rationals appear only in the returned values.
 """
 
 from __future__ import annotations
 
 import bisect
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -23,14 +31,7 @@ from .errors import (
     NoProxyAvailable,
     SampleTooLarge,
 )
-from .population import (
-    DomainSpec,
-    Profile,
-    Rational,
-    VoterClass,
-    as_fraction,
-    build_profile,
-)
+from .population import Profile, Rational, VoterClass, as_fraction
 
 SeedLike = Union[int, np.random.SeedSequence]
 
@@ -59,144 +60,6 @@ class DelegationWeights:
         return [(e.position, e.weight) for e in self.entities]
 
 
-def _nearest_position(
-    sorted_positions: Sequence[Fraction], target: Fraction, r: Fraction
-) -> Fraction:
-    """Nearest of the candidate positions to target.
-
-    Exact distance ties go to the candidate closer to r, and to r itself
-    when r is one of the tied candidates (r cannot lie strictly between two
-    consecutive candidates here, since it is always a candidate).
-    """
-    i = bisect.bisect_left(sorted_positions, target)
-    if i == len(sorted_positions):
-        return sorted_positions[-1]
-    if i == 0:
-        return sorted_positions[0]
-    right, left = sorted_positions[i], sorted_positions[i - 1]
-    d_right, d_left = right - target, target - left
-    if d_left < d_right:
-        return left
-    if d_right < d_left:
-        return right
-    # Exact midpoint: the candidate closer to r wins; r itself on a further
-    # tie (unreachable when r is in the pool, but kept for safety).
-    dl, dr = abs(left - r), abs(right - r)
-    if dl != dr:
-        return left if dl < dr else right
-    if right == r:
-        return right
-    return left
-
-
-def delegate(
-    profile: Profile,
-    re_tau: Rational,
-    include_status_quo: bool = True,
-    r_unit_weight: bool = False,
-) -> DelegationWeights:
-    """Assign every passive honest voter's unit weight to its proxy.
-
-    The proxy pool is the active voters plus (by default) the status quo.
-    ``r_unit_weight`` switches to the variant that also gives the status quo
-    a base weight of 1 like any other entity.
-    """
-    if profile.domain.kind != "interval":
-        raise NoProxyAvailable("delegation is defined on the interval domain")
-    re_tau = as_fraction(re_tau)
-    r = profile.domain.status_quo_position
-
-    active_positions: List[Fraction] = []
-    passive_positions: List[Fraction] = []
-    for cls, ballot in profile.voters:
-        if cls is VoterClass.HONEST_PASSIVE:
-            if ballot is None:
-                raise MissingPrivateBallots(
-                    "delegation needs every passive voter's position"
-                )
-            passive_positions.append(as_fraction(ballot))
-        else:
-            active_positions.append(as_fraction(ballot))
-
-    if not include_status_quo and not active_positions:
-        raise NoProxyAvailable("no active voters and the status quo is excluded")
-
-    pool = sorted(set(active_positions) | ({r} if include_status_quo else set()))
-    followers = {pos: 0 for pos in pool}
-    # One monotone sweep over the sorted passives: segment boundaries are
-    # the midpoints between consecutive proxies; an exact-midpoint tie goes
-    # to the side nearer the status quo (r never sits strictly inside a
-    # segment, so "nearer r" is simply r's side of the midpoint).
-    boundaries = [
-        (pool[i] + pool[i + 1]) / 2 for i in range(len(pool) - 1)
-    ]
-    segment = 0
-    for pos in sorted(passive_positions):
-        while segment < len(boundaries) and (
-            pos > boundaries[segment]
-            or (pos == boundaries[segment] and boundaries[segment] < r)
-        ):
-            segment += 1
-        followers[pool[segment]] += 1
-
-    entities: List[ProxyEntity] = []
-    remaining = dict(followers)
-    for pos in active_positions:
-        entities.append(
-            ProxyEntity(position=pos, weight=Fraction(1) + remaining.pop(pos, 0))
-        )
-    if include_status_quo:
-        base = Fraction(1) if r_unit_weight else Fraction(0)
-        weight = base + re_tau * profile.n + remaining.pop(r, 0)
-        entities.append(ProxyEntity(position=r, weight=weight, is_status_quo=True))
-    return DelegationWeights(entities=tuple(entities))
-
-
-def weighted_median(entries: Sequence[Tuple[Rational, Rational]]) -> Fraction:
-    """The minimal position whose inclusive prefix weight covers the
-    exclusive suffix weight, positions sorted ascending."""
-    merged = rules.merge_masses(
-        [(as_fraction(p), as_fraction(w)) for p, w in entries]
-    )
-    total = sum(w for _, w in merged)
-    if not merged or total <= 0:
-        raise EmptyEntries("weighted median needs positive total weight")
-    prefix = Fraction(0)
-    for pos, weight in merged:
-        prefix += weight
-        if 2 * prefix >= total:
-            return pos
-    raise EmptyEntries("unreachable: prefix never covered suffix")
-
-
-def md_proxy(profile: Profile, re_tau: Rational, r_unit_weight: bool = False) -> Fraction:
-    """Proxy-weighted median: active entities weighted by followers, the
-    status quo carrying its followers plus the virtual mass."""
-    weights = delegate(profile, re_tau, r_unit_weight=r_unit_weight)
-    return weighted_median(weights.entries())
-
-
-def nearest_entity_to(
-    profile: Profile, re_tau: Rational, target: Rational
-) -> Fraction:
-    """Position of the active entity (status quo included) nearest to a
-    target, with the delegation tie rule."""
-    r = profile.domain.status_quo_position
-    pool = sorted(
-        {
-            as_fraction(b)
-            for cls, b in profile.voters
-            if cls is not VoterClass.HONEST_PASSIVE
-        }
-        | {r}
-    )
-    return _nearest_position(pool, as_fraction(target), r)
-
-
-# ---------------------------------------------------------------------------
-# Instance analysis.
-
-
 @dataclass(frozen=True)
 class ProxyAnalysis:
     """Quantities certifying the proxy mechanism's behavior on one instance.
@@ -223,24 +86,330 @@ class ProxyAnalysis:
     j_bound_holds: bool
 
 
-def j_count(
-    passive_positions: Sequence[Fraction], s: Fraction, s_prime: Fraction
-) -> int:
-    """Directional count of passive voters in (s, s']; antisymmetric."""
-    if s_prime == s:
-        return 0
-    if s_prime < s:
-        return -j_count(passive_positions, s_prime, s)
-    return sum(1 for p in passive_positions if s < p <= s_prime)
+# ---------------------------------------------------------------------------
+# The sorted integer index.
 
 
-def _mirrored(profile: Profile) -> Profile:
-    r = profile.domain.status_quo_position
-    flipped = [
-        (cls, None if b is None else 2 * r - as_fraction(b))
-        for cls, b in profile.voters
-    ]
-    return build_profile(DomainSpec.interval(r), flipped)
+def _nearest(left: Optional[int], right: Optional[int], target: int, r: int) -> int:
+    """Nearest of the candidates just below and at-or-above target (either
+    may be missing).
+
+    Exact distance ties go to the candidate closer to r (r itself when it
+    is one of them), and to the lower one when both are as close to r.
+    """
+    if right is None:
+        return left
+    if left is None:
+        return right
+    d_left, d_right = target - left, right - target
+    if d_left != d_right:
+        return left if d_left < d_right else right
+    return right if abs(right - r) < abs(left - r) else left
+
+
+def _neighbours(
+    target: int, *sorted_lists: Sequence[int]
+) -> Tuple[Optional[int], Optional[int]]:
+    """The greatest element below target and the least at or above it,
+    over several ascending lists."""
+    left = right = None
+    for values in sorted_lists:
+        i = bisect.bisect_left(values, target)
+        if i and (left is None or values[i - 1] > left):
+            left = values[i - 1]
+        if i < len(values) and (right is None or values[i] < right):
+            right = values[i]
+    return left, right
+
+
+class _Line:
+    """One orientation of a population on the integer index: honest
+    positions in template order and sorted, sybil positions sorted."""
+
+    def __init__(self, honest: List[int], sybils: List[int], r: int):
+        self.honest = honest
+        self.sorted = sorted(honest)
+        self.sybils = sorted(sybils)
+        self.r = r
+
+    def reflected(self) -> "_Line":
+        """The reflection x -> 2r - x."""
+        two_r = 2 * self.r
+        return _Line(
+            [two_r - x for x in self.honest], [two_r - y for y in self.sybils], self.r
+        )
+
+    def honest_upto(self, x: int) -> int:
+        return bisect.bisect_right(self.sorted, x)
+
+    def segments(self, pool: Sequence[int]) -> List[int]:
+        """For each proxy pool[k] (ascending), how many honest voters go to
+        pool[0..k].
+
+        Each honest voter goes to its nearest proxy; an exact midpoint of
+        two proxies a < b (2p == a + b) goes to the side nearer the status
+        quo, which is r's side of the midpoint.  A voter sitting on a proxy
+        stays with it.
+        """
+        two_r = 2 * self.r
+        cuts = []
+        for a, b in zip(pool, pool[1:]):
+            s = a + b
+            if s < two_r:  # ties go up: count 2p < s
+                cuts.append(bisect.bisect_left(self.sorted, -(-s // 2)))
+            else:  # ties go down: count 2p <= s
+                cuts.append(bisect.bisect_right(self.sorted, s // 2))
+        cuts.append(len(self.sorted))
+        return cuts
+
+
+class _ProxyIndex:
+    """A proxy population on the sorted integer index, built once.
+
+    Holds the honest positions (with the indices of the active ones) and the
+    sybil positions, scaled by ``scale``; the status quo's mass (virtual
+    mass, plus one under ``r_unit_weight``) in units where a voter weighs
+    ``unit``; and, for the analysis, the orientation in which the honest
+    median is at or above r together with h* and h-hat there, which do not
+    depend on who is active.
+    """
+
+    def __init__(self, profile: Profile, re_tau: Rational, r_unit_weight: bool = False):
+        if profile.domain.kind != "interval":
+            raise NoProxyAvailable("delegation is defined on the interval domain")
+        r = profile.domain.status_quo_position
+        honest: List[Fraction] = []
+        sybils: List[Fraction] = []
+        self.active: List[int] = []
+        for cls, ballot in profile.voters:
+            if cls is VoterClass.SYBIL:
+                sybils.append(ballot)
+                continue
+            if ballot is None:
+                raise MissingPrivateBallots(
+                    "delegation needs every passive voter's position"
+                )
+            if cls is VoterClass.HONEST_ACTIVE:
+                self.active.append(len(honest))
+            honest.append(ballot)
+        self.r = r
+        self.re_tau = as_fraction(re_tau)
+        self.scale = scale = rules.position_scale([*honest, *sybils, r])
+        self.up = _Line(
+            [rules.scaled(p, scale) for p in honest],
+            [rules.scaled(p, scale) for p in sybils],
+            rules.scaled(r, scale),
+        )
+        self.n = profile.n
+        status_quo_mass = self.re_tau * self.n + (1 if r_unit_weight else 0)
+        self.unit = status_quo_mass.denominator
+        self.status_quo_mass = status_quo_mass.numerator
+
+    def fraction(self, x: int) -> Fraction:
+        return Fraction(x, self.scale)
+
+    def delegation(
+        self, line: _Line, drawn: Sequence[int], include_status_quo: bool = True
+    ) -> Tuple[List[int], List[int]]:
+        """The proxy pool (drawn actives, sybils, and r) ascending, and its
+        honest segment cuts (see _Line.segments)."""
+        pool = {*drawn, *line.sybils}
+        if include_status_quo:
+            pool.add(line.r)
+        pool = sorted(pool)
+        return pool, line.segments(pool)
+
+    def outcome(self, line: _Line, drawn: Sequence[int]) -> int:
+        """Proxy median: the least proxy whose inclusive prefix of delegated
+        mass covers half the total."""
+        pool, cuts = self.delegation(line, drawn)
+        unit, sq, r, sybils = self.unit, self.status_quo_mass, line.r, line.sybils
+
+        def prefix(k: int) -> int:
+            x = pool[k]
+            mass = (cuts[k] + bisect.bisect_right(sybils, x)) * unit
+            return mass + sq if x >= r else mass
+
+        return pool[rules.least_reaching(len(pool), prefix, self.n * unit + sq)]
+
+    # -- analysis: the normalized orientation, constant across draws --------
+
+    @cached_property
+    def mirrored(self) -> bool:
+        return self._honest_median(self.up) < self.up.r
+
+    @cached_property
+    def work(self) -> _Line:
+        return self.up.reflected() if self.mirrored else self.up
+
+    @cached_property
+    def h_star(self) -> int:
+        return self._honest_median(self.work)
+
+    @cached_property
+    def h_hat(self) -> int:
+        """Median of every voter plus the status quo's mass."""
+        line = self.work
+        xs = sorted({*line.sorted, *line.sybils, line.r})
+        unit, sq = self.unit, self.status_quo_mass
+
+        def prefix(i: int) -> int:
+            x = xs[i]
+            mass = (line.honest_upto(x) + bisect.bisect_right(line.sybils, x)) * unit
+            return mass + sq if x >= line.r else mass
+
+        return rules.median_at(xs, prefix, self.n * unit + sq, line.r)
+
+    @staticmethod
+    def _honest_median(line: _Line) -> int:
+        xs = line.sorted
+        return rules.median_at(
+            xs, lambda i: line.honest_upto(xs[i]), len(xs), line.r
+        )
+
+    def analyze(self, chosen: Sequence[int]) -> ProxyAnalysis:
+        """The analysis of the instance whose active honest voters are the
+        honest voters with the given template indices."""
+        line, r = self.work, self.work.r
+        drawn = sorted(line.honest[i] for i in chosen)
+        h_star, h_hat = self.h_star, self.h_hat
+        z = self.outcome(line, drawn)
+        nearest = _nearest(*_neighbours(h_star, drawn, line.sybils), h_star, r)
+        d_star = abs(nearest - h_star)
+
+        i = bisect.bisect_left(drawn, h_hat)
+        h_hat_bar = drawn[i] if i < len(drawn) else None
+        i = bisect.bisect_right(drawn, h_hat)
+        h_hat_under = drawn[i - 1] if i else None
+
+        def passives(a: int, b: int) -> int:
+            """Directional count of passive voters in (a, b]."""
+            if b < a:
+                return -passives(b, a)
+            honest = line.honest_upto(b) - line.honest_upto(a)
+            return honest - bisect.bisect_right(drawn, b) + bisect.bisect_right(drawn, a)
+
+        if h_hat_bar is None:
+            j_hat = passives(h_hat, max(h_hat, line.sorted[-1]))
+        else:
+            j_hat = passives(h_hat, h_hat_bar)
+
+        sigma = Fraction(len(line.sybils), self.n)
+        tau = self.re_tau
+        envelope: Optional[bool] = None
+        if tau >= sigma:
+            envelope = r <= z <= h_star + d_star
+        range_holds = r <= z and (h_hat_bar is None or z <= h_hat_bar)
+        if h_hat == r:
+            j_bound = True
+        else:
+            j_bound = passives(h_star, h_hat) <= (sigma - tau) / 2 * self.n
+
+        fraction = self.fraction
+        return ProxyAnalysis(
+            r=self.r,
+            n=self.n,
+            n_honest=len(line.honest),
+            h_star=fraction(h_star),
+            nearest_active_position=fraction(nearest),
+            d_star=fraction(d_star),
+            h_hat=fraction(h_hat),
+            h_hat_bar=None if h_hat_bar is None else fraction(h_hat_bar),
+            h_hat_under=None if h_hat_under is None else fraction(h_hat_under),
+            z=fraction(z),
+            j_hat=abs(j_hat),
+            envelope_holds=envelope,
+            range_holds=range_holds,
+            j_bound_holds=j_bound,
+        )
+
+    def sample(self, n_plus: int, seed: SeedLike) -> Tuple[Fraction, ProxyAnalysis]:
+        """One random-participation trial: see sample_and_run."""
+        h = len(self.up.honest)
+        if n_plus > h or n_plus < 1:
+            raise SampleTooLarge(f"cannot draw {n_plus} of {h} honest voters")
+        if not isinstance(seed, np.random.SeedSequence):
+            seed = np.random.SeedSequence(seed)
+        rng = np.random.Generator(np.random.Philox(seed))
+        chosen = rng.choice(h, size=n_plus, replace=False).tolist()
+        analysis = self.analyze(chosen)
+        if not self.mirrored:
+            return analysis.z, analysis
+        z = self.outcome(self.up, [self.up.honest[i] for i in chosen])
+        return self.fraction(z), analysis
+
+
+# ---------------------------------------------------------------------------
+# Delegation, the proxy median and the instance analysis.
+
+
+def delegate(
+    profile: Profile,
+    re_tau: Rational,
+    include_status_quo: bool = True,
+    r_unit_weight: bool = False,
+) -> DelegationWeights:
+    """Assign every passive honest voter's unit weight to its proxy.
+
+    The proxy pool is the active voters plus (by default) the status quo.
+    ``r_unit_weight`` switches to the variant that also gives the status quo
+    a base weight of 1 like any other entity.  Followers of a position go to
+    its first active voter in profile order.
+    """
+    index = _ProxyIndex(profile, re_tau, r_unit_weight)
+    line = index.up
+    drawn = [line.honest[i] for i in index.active]
+    if not include_status_quo and not drawn and not line.sybils:
+        raise NoProxyAvailable("no active voters and the status quo is excluded")
+    pool, cuts = index.delegation(line, drawn, include_status_quo)
+    on_proxy = Counter(drawn)
+    followers = {}
+    previous = 0
+    for x, cut in zip(pool, cuts):
+        followers[x] = cut - previous - on_proxy[x]
+        previous = cut
+
+    entities: List[ProxyEntity] = []
+    for cls, ballot in profile.voters:
+        if cls is not VoterClass.HONEST_PASSIVE:
+            extra = followers.pop(rules.scaled(ballot, index.scale), 0)
+            entities.append(ProxyEntity(position=ballot, weight=Fraction(1 + extra)))
+    if include_status_quo:
+        base = Fraction(1) if r_unit_weight else Fraction(0)
+        weight = base + index.re_tau * profile.n + followers.pop(line.r, 0)
+        entities.append(ProxyEntity(position=index.r, weight=weight, is_status_quo=True))
+    return DelegationWeights(entities=tuple(entities))
+
+
+def weighted_median(entries: Sequence[Tuple[Rational, Rational]]) -> Fraction:
+    """The minimal position whose inclusive prefix weight covers the
+    exclusive suffix weight, positions sorted ascending."""
+    scale, xs, cum = rules.mass_index(entries)
+    if not xs:
+        raise EmptyEntries("weighted median needs positive total weight")
+    return Fraction(xs[rules.least_reaching(len(xs), cum.__getitem__, cum[-1])], scale)
+
+
+def md_proxy(profile: Profile, re_tau: Rational, r_unit_weight: bool = False) -> Fraction:
+    """Proxy-weighted median: active entities weighted by followers, the
+    status quo carrying its followers plus the virtual mass."""
+    index = _ProxyIndex(profile, re_tau, r_unit_weight)
+    drawn = [index.up.honest[i] for i in index.active]
+    return index.fraction(index.outcome(index.up, drawn))
+
+
+def nearest_entity_to(
+    profile: Profile, re_tau: Rational, target: Rational
+) -> Fraction:
+    """Position of the active entity (status quo included) nearest to a
+    target, with the delegation tie rule."""
+    r, target = profile.domain.status_quo_position, as_fraction(target)
+    actives = [b for cls, b in profile.voters if cls is not VoterClass.HONEST_PASSIVE]
+    scale = rules.position_scale([*actives, r, target])
+    pool = sorted({rules.scaled(p, scale) for p in actives} | {rules.scaled(r, scale)})
+    t = rules.scaled(target, scale)
+    nearest = _nearest(*_neighbours(t, pool), t, rules.scaled(r, scale))
+    return Fraction(nearest, scale)
 
 
 def analyze(profile: Profile, re_tau: Rational) -> ProxyAnalysis:
@@ -256,82 +425,8 @@ def analyze(profile: Profile, re_tau: Rational) -> ProxyAnalysis:
       directional passive count from the honest median to it is at most
       (sigma - tau)/2 of the population.
     """
-    if not profile.has_full_honest_ballots():
-        raise MissingPrivateBallots("analysis needs all honest positions")
-    re_tau = as_fraction(re_tau)
-    r = profile.domain.status_quo_position
-
-    honest = [as_fraction(b) for c, b in profile.voters if c is not VoterClass.SYBIL]
-    h_star_raw = rules.median_with_status_quo([(p, Fraction(1)) for p in honest], r)
-    mirrored = h_star_raw < r
-    work = _mirrored(profile) if mirrored else profile
-
-    passive_positions = [
-        as_fraction(b) for c, b in work.voters if c is VoterClass.HONEST_PASSIVE
-    ]
-    active_honest = sorted(
-        as_fraction(b) for c, b in work.voters if c is VoterClass.HONEST_ACTIVE
-    )
-    actives = sorted(
-        as_fraction(b) for c, b in work.voters if c is not VoterClass.HONEST_PASSIVE
-    )
-
-    if mirrored:
-        honest_positions = [
-            as_fraction(b) for c, b in work.voters if c is not VoterClass.SYBIL
-        ]
-        h_star = rules.median_with_status_quo(
-            [(p, Fraction(1)) for p in honest_positions], r
-        )
-    else:
-        h_star = h_star_raw
-    nearest_active = _nearest_position(actives, h_star, r)
-    d_star = abs(nearest_active - h_star)
-
-    all_positions = [(as_fraction(b), Fraction(1)) for _, b in work.voters]
-    all_positions.append((r, re_tau * work.n))
-    h_hat = rules.median_with_status_quo(all_positions, r)
-
-    above = [p for p in active_honest if p >= h_hat]
-    below = [p for p in active_honest if p <= h_hat]
-    h_hat_bar = min(above) if above else None
-    h_hat_under = max(below) if below else None
-
-    z = md_proxy(work, re_tau)
-
-    if h_hat_bar is None:
-        j_hat = sum(1 for p in passive_positions if p > h_hat)
-    else:
-        j_hat = j_count(passive_positions, h_hat, h_hat_bar)
-
-    sigma, tau = work.sigma, re_tau
-    envelope: Optional[bool] = None
-    if tau >= sigma:
-        envelope = r <= z <= h_star + d_star
-    range_holds = r <= z and (h_hat_bar is None or z <= h_hat_bar)
-    if h_hat == r:
-        j_bound = True
-    else:
-        j_bound = Fraction(
-            j_count(passive_positions, h_star, h_hat)
-        ) <= (sigma - tau) / 2 * work.n
-
-    return ProxyAnalysis(
-        r=r,
-        n=work.n,
-        n_honest=work.n_honest,
-        h_star=h_star,
-        nearest_active_position=nearest_active,
-        d_star=d_star,
-        h_hat=h_hat,
-        h_hat_bar=h_hat_bar,
-        h_hat_under=h_hat_under,
-        z=z,
-        j_hat=abs(j_hat),
-        envelope_holds=envelope,
-        range_holds=range_holds,
-        j_bound_holds=j_bound,
-    )
+    index = _ProxyIndex(profile, re_tau)
+    return index.analyze(index.active)
 
 
 def sample_and_run(
@@ -348,29 +443,4 @@ def sample_and_run(
     given the seed.  Returns the outcome on the original orientation plus
     the normalized-instance analysis.
     """
-    if template.domain.kind != "interval":
-        raise NoProxyAvailable("proxy sampling is interval-only")
-    if not template.has_full_honest_ballots():
-        raise MissingPrivateBallots("template needs every honest position")
-    honest = [
-        as_fraction(b) for c, b in template.voters if c is not VoterClass.SYBIL
-    ]
-    sybils = [as_fraction(b) for c, b in template.voters if c is VoterClass.SYBIL]
-    if n_plus > len(honest) or n_plus < 1:
-        raise SampleTooLarge(f"cannot draw {n_plus} of {len(honest)} honest voters")
-
-    seed_seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    rng = np.random.Generator(np.random.Philox(seed_seq))
-    chosen = set(rng.choice(len(honest), size=n_plus, replace=False).tolist())
-
-    voters = [
-        (
-            VoterClass.HONEST_ACTIVE if i in chosen else VoterClass.HONEST_PASSIVE,
-            pos,
-        )
-        for i, pos in enumerate(honest)
-    ]
-    voters.extend((VoterClass.SYBIL, pos) for pos in sybils)
-    trial = build_profile(template.domain, voters)
-    z = md_proxy(trial, re_tau)
-    return z, analyze(trial, re_tau)
+    return _ProxyIndex(template, re_tau).sample(n_plus, seed)

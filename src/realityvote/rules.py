@@ -10,10 +10,12 @@ exact on knife-edge profiles.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from .errors import (
     EmptyElectorate,
@@ -25,6 +27,7 @@ from .population import Ballot, DomainSpec, Profile, Rational, as_fraction
 
 PARTICIPATION_MODES = ("full", "active", "proxy")
 BASE_RULES = ("mj", "pl", "smj", "cc", "scc", "imj", "md", "som")
+THRESHOLD_RULES = ("smj", "scc", "som")  # the base rules that take a tau
 
 _DOMAIN_FOR_BASE = {
     "mj": ("binary",),
@@ -66,7 +69,7 @@ class Mechanism:
 
     def describe(self) -> str:
         name = self.base
-        if self.base in ("smj", "scc", "som"):
+        if self.base in THRESHOLD_RULES:
             name = f"{self.base}:{self.base_tau}"
         if self.re_tau:
             name += f" re:{self.re_tau}"
@@ -100,71 +103,100 @@ def tally_ballots(ballots: Iterable[Ballot], q: Rational = 0) -> Tally:
 
 
 # ---------------------------------------------------------------------------
-# Weighted-median machinery shared by md / som (exact rational masses).
+# Weighted medians on a sorted integer index (exact rational masses).
+#
+# Positions are scaled once to a common integer denominator and masses to
+# integers, so every comparison and prefix sum below runs on Python ints;
+# rationals come back only at the output boundary.  A weighted median is
+# then one bisection over the ascending candidate positions for the least
+# one whose inclusive prefix mass reaches a target.
 
 MassEntry = Tuple[Fraction, Fraction]  # (position, mass)
+Prefix = Callable[[int], int]  # candidate index -> inclusive prefix mass
 
 
-def merge_masses(entries: Iterable[MassEntry]) -> List[MassEntry]:
-    items = []
-    for pos, mass in entries:
-        if mass < 0:
-            raise EmptyElectorate("negative mass")
-        if mass:
-            items.append((pos, mass))
-    items.sort(key=lambda e: e[0])
-    merged: List[MassEntry] = []
-    for pos, mass in items:
-        if merged and merged[-1][0] == pos:
-            merged[-1] = (pos, merged[-1][1] + mass)
-        else:
-            merged.append((pos, mass))
-    return merged
+def position_scale(positions: Iterable[Fraction]) -> int:
+    """Least common denominator: every position times it is an integer."""
+    return math.lcm(*{p.denominator for p in positions})
 
 
-def median_bounds(entries: Iterable[MassEntry]) -> Tuple[Fraction, Fraction]:
-    """The closed interval of weighted-median positions [lo, hi].
+def scaled(position: Fraction, scale: int) -> int:
+    """A position on the integer index of the given scale."""
+    return position.numerator * (scale // position.denominator)
 
-    lo is the least position whose inclusive prefix mass reaches half the
-    total; hi the least position whose prefix strictly exceeds half.  When
-    no exact half-split occurs the two coincide.
+
+def least_reaching(size: int, prefix: Prefix, target: int, lo: int = 0) -> int:
+    """Least candidate index i in [lo, size) with 2 * prefix(i) >= target.
+
+    ``prefix`` must be nondecreasing and reach the target at ``size - 1``.
     """
-    items = merge_masses(entries)
-    if not items:
-        raise EmptyElectorate("weighted median of zero total mass")
-    # Scale masses to a common denominator: prefix sums run in integers.
-    scale = 1
-    for _, mass in items:
-        d = mass.denominator
-        if d != 1:
-            scale = scale * d // math.gcd(scale, d)
-    scaled = [
-        (pos, mass.numerator * (scale // mass.denominator)) for pos, mass in items
-    ]
-    total = sum(m for _, m in scaled)
-    if total <= 0:
-        raise EmptyElectorate("weighted median of zero total mass")
-    lo = hi = None
-    prefix = 0
-    for pos, mass in scaled:
-        prefix += mass
-        if lo is None and 2 * prefix >= total:
-            lo = pos
-        if hi is None and 2 * prefix > total:
-            hi = pos
-            break
-    return lo, hi
+    return bisect.bisect_left(
+        range(size), True, lo=lo, key=lambda i: 2 * prefix(i) >= target
+    )
 
 
-def median_with_status_quo(entries: Iterable[MassEntry], r: Fraction) -> Fraction:
-    """Weighted median with the status-quo tie rule.
+def median_at(xs: Sequence[int], prefix: Prefix, total: int, r: int) -> int:
+    """Weighted median with the status-quo tie rule on an integer index.
 
-    When the total mass admits two middle points, one extra unit vote at r
-    settles the tie; for integer masses that is literally what happens, and
-    in general it selects the median-interval point nearest r.
+    ``xs`` are ascending candidate positions (a superset of the support),
+    ``prefix(i)`` the mass at positions <= xs[i] and ``total`` the whole
+    mass.  The median interval runs from the least position whose prefix
+    reaches half the total to the least one whose prefix exceeds it; the
+    point of that interval nearest r is returned (for integer masses that
+    is literally one extra unit vote at r settling the tie).
     """
-    lo, hi = median_bounds(entries)
-    return max(lo, min(as_fraction(r), hi))
+    lo = least_reaching(len(xs), prefix, total)
+    hi = least_reaching(len(xs), prefix, total + 1, lo)
+    return max(xs[lo], min(r, xs[hi]))
+
+
+def suppressed_median_at(
+    tau: Fraction, xs: Sequence[int], prefix: Prefix, total: int, r: int
+) -> int:
+    """Suppress-outer-votes median on an integer index (see median_at).
+
+    Masses are rescaled by tau's denominator so that the cut, tau of the
+    total, is an integer.  Trimming the cut from the top caps the prefix at
+    what is kept; trimming it from the bottom shifts the prefix down.
+    """
+    m = median_at(xs, prefix, total, r)
+    if m == r:
+        return r
+    den = tau.denominator
+    cut = tau.numerator * total
+    kept = den * total - cut
+    if kept <= 0:
+        return r
+    if m > r:
+        trimmed = lambda i: min(den * prefix(i), kept)
+    else:
+        trimmed = lambda i: max(0, den * prefix(i) - cut)
+    m_reduced = median_at(xs, trimmed, kept, r)
+    if (m_reduced > r) == (m > r) and m_reduced != r:
+        return m_reduced
+    return r
+
+
+def mass_index(entries: Iterable[MassEntry]) -> Tuple[int, List[int], List[int]]:
+    """Sorted integer index of (position, mass) entries.
+
+    Returns the position scale (covering every entry, zero masses included),
+    the distinct scaled positions of positive mass ascending, and their
+    inclusive prefix masses scaled to integers by the masses' common
+    denominator.
+    """
+    entries = [(as_fraction(p), as_fraction(m)) for p, m in entries]
+    if any(m < 0 for _, m in entries):
+        raise EmptyElectorate("negative mass")
+    scale = position_scale(p for p, _ in entries)
+    unit = math.lcm(*{m.denominator for _, m in entries})
+    masses: Dict[int, int] = {}
+    for p, m in entries:
+        if m:
+            x = scaled(p, scale)
+            masses[x] = masses.get(x, 0) + m.numerator * (unit // m.denominator)
+    xs = sorted(masses)
+    return scale, xs, list(itertools.accumulate(masses[x] for x in xs))
 
 
 # ---------------------------------------------------------------------------
@@ -269,21 +301,22 @@ def issuewise_majority(tally: Tally, domain: DomainSpec) -> Ballot:
     return tuple(result)
 
 
-def _interval_masses(tally: Tally, r: Fraction) -> List[MassEntry]:
-    entries: List[MassEntry] = [
-        (as_fraction(pos), Fraction(count)) for pos, count in tally.counts.items()
-    ]
-    if tally.q:
-        entries.append((r, tally.q))
-    return entries
+def _tally_index(
+    tally: Tally, domain: DomainSpec
+) -> Tuple[int, List[int], List[int], int]:
+    """The tally's cast counts plus the virtual mass q at r, indexed; r is
+    returned scaled."""
+    r = domain.status_quo_position
+    scale, xs, cum = mass_index([*tally.counts.items(), (r, tally.q)])
+    if not xs:
+        raise EmptyElectorate("median of an empty electorate")
+    return scale, xs, cum, scaled(r, scale)
 
 
 def median(tally: Tally, domain: DomainSpec) -> Fraction:
     """Median position of the cast votes plus the virtual mass at r."""
-    if tally.cast_total == 0 and tally.q == 0:
-        raise EmptyElectorate("median of an empty electorate")
-    r = domain.status_quo_position
-    return median_with_status_quo(_interval_masses(tally, r), r)
+    scale, xs, cum, r = _tally_index(tally, domain)
+    return Fraction(median_at(xs, cum.__getitem__, cum[-1], r), scale)
 
 
 def suppress_outer_median(tau: Fraction, tally: Tally, domain: DomainSpec) -> Fraction:
@@ -294,32 +327,9 @@ def suppress_outer_median(tau: Fraction, tally: Tally, domain: DomainSpec) -> Fr
     unit mass if tau times the electorate is fractional), recompute, and
     keep the new median only if it stayed on the same side of r.
     """
-    tau = as_fraction(tau)
-    r = domain.status_quo_position
-    entries = _interval_masses(tally, r)
-    total = sum(m for _, m in entries)
-    if total <= 0:
-        raise EmptyElectorate("suppressed median of an empty electorate")
-    m = median_with_status_quo(entries, r)
-    if m == r:
-        return r
-    cut = tau * total
-    items = merge_masses(entries)
-    if m > r:
-        items.reverse()  # trim the highest votes first
-    kept: List[MassEntry] = []
-    for pos, mass in items:
-        if cut >= mass:
-            cut -= mass
-            continue
-        kept.append((pos, mass - cut))
-        cut = Fraction(0)
-    if not kept:
-        return r
-    m_reduced = median_with_status_quo(kept, r)
-    if (m_reduced > r) == (m > r) and m_reduced != r:
-        return m_reduced
-    return r
+    scale, xs, cum, r = _tally_index(tally, domain)
+    m = suppressed_median_at(as_fraction(tau), xs, cum.__getitem__, cum[-1], r)
+    return Fraction(m, scale)
 
 
 # ---------------------------------------------------------------------------

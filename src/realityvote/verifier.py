@@ -10,6 +10,7 @@ exhaustive because every implemented rule is anonymous.
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 from dataclasses import dataclass
@@ -21,6 +22,7 @@ from .betweenness import BetweenRegion, between_union
 from .errors import (
     BudgetExceeded,
     DegenerateParams,
+    EmptyElectorate,
     MechanismMismatch,
     MissingPrivateBallots,
     RegimeMismatch,
@@ -278,27 +280,63 @@ def _interval_range(
     original voter and adding a mover can beat replacing (extra mass breaks
     a status-quo tie).  Hence the sweep over all splits.  A sentinel
     outcome means the range is unbounded on that side.
+
+    Every split is evaluated on one sorted integer index of the honest
+    positions: the evaluated electorate is a contiguous slice of it plus a
+    sentinel block plus the sybils, so a prefix mass is two bisections.
     """
     r = domain.status_quo_position
     spread = [abs(p) for p in honest] + [abs(p) for p in sybils] + [abs(r)]
     sentinel = max(spread) + _BIG_STEP
-    ordered = sorted(as_fraction(p) for p in honest)
+    scale = rules.position_scale([*honest, *sybils, r, sentinel])
+    ordered = sorted(rules.scaled(p, scale) for p in honest)
+    fixed = sorted(rules.scaled(p, scale) for p in sybils)
+    r_x, top = rules.scaled(r, scale), rules.scaled(sentinel, scale)
+    xs = sorted({*ordered, *fixed, r_x, top, -top})
     h = len(ordered)
+    # Masses in units of tau's denominator: a voter weighs `unit`, the
+    # virtual mass of an electorate of e voters is tau.numerator * e.
+    unit, q_per_voter = mechanism.re_tau.denominator, mechanism.re_tau.numerator
 
-    def evaluate(positions: List[Fraction]) -> Fraction:
-        counts = _count_map(positions + list(sybils))
-        return _outcome_for_counts(mechanism, domain, counts)
+    def evaluate(start: int, stop: int, movers: int, at: int) -> int:
+        """Outcome on ordered[start:stop] plus `movers` voters at `at`."""
+        electorate = stop - start + movers + len(fixed)
+        q = q_per_voter * electorate
 
-    lo = hi = evaluate(list(ordered))
+        def prefix(i: int) -> int:
+            x = xs[i]
+            count = min(max(bisect.bisect_right(ordered, x), start), stop) - start
+            count += bisect.bisect_right(fixed, x)
+            if x >= at:
+                count += movers
+            return count * unit + (q if x >= r_x else 0)
+
+        return _index_outcome(mechanism, xs, prefix, electorate * unit + q, r_x)
+
+    lo = hi = evaluate(0, h, 0, top)
     for removals in range(min(budget, h) + 1):
         for additions in range(removals, budget + 1):
-            hi_val = evaluate(ordered[removals:] + [sentinel] * additions)
-            lo_val = evaluate([-sentinel] * additions + ordered[: h - removals])
-            hi = max(hi, hi_val)
-            lo = min(lo, lo_val)
-    hi_out = None if hi >= sentinel else hi
-    lo_out = None if lo <= -sentinel else lo
+            hi = max(hi, evaluate(removals, h, additions, top))
+            lo = min(lo, evaluate(0, h - removals, additions, -top))
+    hi_out = None if hi >= top else Fraction(hi, scale)
+    lo_out = None if lo <= -top else Fraction(lo, scale)
     return lo_out, hi_out
+
+
+def _index_outcome(
+    mechanism: Mechanism, xs: Sequence[int], prefix, total: int, r: int
+) -> int:
+    """The md or som base rule on a sorted integer index (see
+    rules.median_at), the virtual mass already in the prefix."""
+    if total <= 0:
+        raise EmptyElectorate("median of an empty electorate")
+    if mechanism.base == "md":
+        return rules.median_at(xs, prefix, total, r)
+    if mechanism.base == "som":
+        return rules.suppressed_median_at(mechanism.base_tau, xs, prefix, total, r)
+    raise MechanismMismatch(
+        f"base rule {mechanism.base!r} does not apply to interval domains"
+    )
 
 
 def outcome_range(
@@ -590,12 +628,6 @@ class AdversarialWitness:
     params: Optional[dict] = None
 
 
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-
-    return a * b // gcd(a, b)
-
-
 def tightness_witness(construction: str, **params) -> AdversarialWitness:
     """Instantiate a lower-bound proof's construction.
 
@@ -629,7 +661,7 @@ def _knife_edge_witness(
         raise RegimeMismatch(f"alpha {alpha} is not below the safety threshold {bound}")
     eps = bound - alpha
     base_frac = ((1 + tau) * (1 - mu) - 2 * sigma) / 2
-    denom = _lcm(sigma.denominator, mu.denominator)
+    denom = math.lcm(sigma.denominator, mu.denominator)
     n = denom
     while True:
         if n > 100_000:
@@ -663,7 +695,7 @@ def _pair_witness(sigma: Rational, mu: Rational) -> AdversarialWitness:
         raise RegimeMismatch("the pair construction needs 3*sigma + 2*mu >= 1")
     if sigma + mu >= 1:
         raise DegenerateParams("sigma + mu must stay below 1")
-    n = _lcm(sigma.denominator, mu.denominator)
+    n = math.lcm(sigma.denominator, mu.denominator)
     s, hm = int(sigma * n), int(mu * n)
     h_plus = n - s - hm
     domain = DomainSpec.binary()

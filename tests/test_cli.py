@@ -53,6 +53,15 @@ class TestMechanismSpec:
         with pytest.raises(MechanismMismatch):
             parse_mechanism("mj re:1/3 bogus:2")
 
+    @pytest.mark.parametrize("base", ["mj", "pl", "cc", "imj", "md"])
+    def test_threshold_on_rule_without_one(self, base, tmp_path, capsys):
+        with pytest.raises(MechanismMismatch):
+            parse_mechanism(f"{base}:1/2")
+        path = tmp_path / "p.json"
+        path.write_text(profile_to_json(binary_profile(active="rp")))
+        assert main(["eval", "--profile", str(path), "--mechanism", f"{base}:1/2"]) == 3
+        assert "takes no threshold" in capsys.readouterr().err
+
 
 class TestProfileFormat:
     def test_round_trip_is_byte_identical(self, delegation_population):
