@@ -19,7 +19,7 @@ import numpy as np
 from . import proxy, verifier
 from .errors import DegenerateParams, SampleTooLarge
 from .guarantees import Setting, safety_threshold
-from .population import Profile, Rational, VoterClass, as_fraction, build_profile
+from .population import Profile, Rational, as_fraction
 from .rules import Mechanism
 
 
@@ -87,44 +87,18 @@ def _trial_seed(seed: int, trial: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=seed, spawn_key=(trial,))
 
 
-def _binary_template_counts(profile: Profile):
-    p = profile.domain.proposal
-    honest_p = sum(
-        1
-        for c, b in profile.voters
-        if c is not VoterClass.SYBIL and b == p
-    )
-    return honest_p, profile.n_honest - honest_p
-
-
-def _binary_trial_profile(exp: Experiment, active_p: int) -> Profile:
-    """Rebuild the trial population from the drawn active p-count.
-
-    Ballots are anonymous to every rule here, so the uniform draw of the
-    active set is fully captured by how many proposal supporters it hits;
-    that count follows the exact hypergeometric law.
-    """
-    domain = exp.profile.domain
-    r, p = domain.status_quo, domain.proposal
-    honest_p, honest_r = _binary_template_counts(exp.profile)
-    active_r = exp.n_plus - active_p
-    voters = [(VoterClass.HONEST_ACTIVE, p)] * active_p
-    voters += [(VoterClass.HONEST_ACTIVE, r)] * active_r
-    voters += [(VoterClass.HONEST_PASSIVE, p)] * (honest_p - active_p)
-    voters += [(VoterClass.HONEST_PASSIVE, r)] * (honest_r - active_r)
-    voters += [(VoterClass.SYBIL, b) for b in exp.profile.sybil_ballots()]
-    return build_profile(domain, voters)
-
-
 def run_safety_whp(exp: Experiment) -> TrialStats:
     """Empirical rate of safety violations under random participation,
     compared against the Hoeffding-style tail bound."""
     if exp.profile.domain.kind != "binary":
         raise DegenerateParams("the w.h.p. safety experiment is binary")
-    honest_p, honest_r = _binary_template_counts(exp.profile)
+    domain = exp.profile.domain
+    honest_p = exp.profile.honest_ballots().count(domain.proposal)
+    sybil_p = exp.profile.sybil_ballots().count(domain.proposal)
+    h, s = exp.profile.n_honest, exp.profile.n_sybil
     n = exp.profile.n
     sigma = exp.profile.sigma
-    mu = Fraction(exp.profile.n_honest - exp.n_plus, n)
+    mu = Fraction(h - exp.n_plus, n)
     tau = exp.mechanism.re_tau
 
     threshold = safety_threshold(Setting.RANDOM_FINITE, sigma, mu, tau)
@@ -138,9 +112,13 @@ def run_safety_whp(exp: Experiment) -> TrialStats:
     for trial in range(exp.trials):
         rng = np.random.Generator(np.random.Philox(_trial_seed(exp.seed, trial)))
         active_p = int(
-            rng.hypergeometric(ngood=honest_p, nbad=honest_r, nsample=exp.n_plus)
+            rng.hypergeometric(ngood=honest_p, nbad=h - honest_p, nsample=exp.n_plus)
         )
-        trial_profile = _binary_trial_profile(exp, active_p)
+        # Every rule is anonymous, so the uniform draw of the active set is
+        # fully captured by how many proposal supporters it hits.
+        trial_profile = verifier._binary_profile(
+            domain, active_p, exp.n_plus, honest_p - active_p, h - exp.n_plus, sybil_p, s
+        )
         if not verifier.is_safe(exp.mechanism, exp.base, trial_profile, exp.alpha_prime):
             violations += 1
     return TrialStats(
@@ -211,11 +189,7 @@ def hoeffding_diagnostic(
         raise DegenerateParams("the diagnostic runs on binary templates")
     if trials < 1:
         raise DegenerateParams("need at least one trial")
-    honest_p = sum(
-        1
-        for cls, b in template.voters
-        if cls is not VoterClass.SYBIL and b == template.domain.proposal
-    )
+    honest_p = template.honest_ballots().count(template.domain.proposal)
     honest = template.n_honest
     if n_plus > honest or n_plus < 1:
         raise SampleTooLarge("active sample must fit inside the honest set")

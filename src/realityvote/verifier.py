@@ -6,11 +6,25 @@ Everything here evaluates the definitions directly on small finite
 instances; the closed-form module is validated against these results, not
 the other way around.  Enumeration is over ballot-count multisets, which is
 exhaustive because every implemented rule is anonymous.
+
+On finite domains one targeted search (``_can_reach``) answers every
+reachability question: is this alternative the outcome of some
+modification of at most the budget's honest voters?  The outcome range is
+the set of alternatives, status quo included, for which it answers yes,
+and liveness asks it for the target against every sybil ballot multiset.
+Removals are enumerated exhaustively over the honest ballot types; added
+voters cast only the target's support ballots (``_support_ballots``): the
+target itself, one target-first ranking, or, for the status quo under
+ranking ballots, every r-first ranking.  Swapping any added ballot for a
+support ballot never hurts the target, so the restriction loses nothing.
+On the line the range is an interval, found from sentinel movers
+(``_interval_range``).
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -43,7 +57,7 @@ from .rules import Mechanism, Tally
 
 ENUM_CAP_ENV = "REALITYVOTE_ENUM_CAP"
 DEFAULT_ENUM_CAP = 10
-_WORK_LIMIT = 5_000_000  # combos per outcome-range call before giving up
+_WORK_LIMIT = 5_000_000  # tallies per reachability search before giving up
 
 
 def enumeration_cap() -> int:
@@ -78,12 +92,7 @@ class OutcomeRange:
     def contains(self, a: Ballot) -> bool:
         if self.kind == "finite":
             return a in self.reachable
-        pos = as_fraction(a)
-        if self.lo is not None and pos < self.lo:
-            return False
-        if self.hi is not None and pos > self.hi:
-            return False
-        return True
+        return BetweenRegion(kind="interval", lo=self.lo, hi=self.hi).contains(a)
 
     def safe_region(self, domain: DomainSpec) -> BetweenRegion:
         """B(r; this range): everything between the status quo and some
@@ -108,37 +117,20 @@ def _bounded_compositions(
         if total == 0:
             yield ()
         return
+    if len(bounds) == 1:
+        if total <= bounds[0]:
+            yield (total,)
+        return
     head = min(total, bounds[0])
     for first in range(head + 1):
         for rest in _bounded_compositions(total - first, bounds[1:]):
             yield (first,) + rest
 
 
-def _compositions(total: int, bins: int) -> Iterator[Tuple[int, ...]]:
-    if bins == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, bins - 1):
-            yield (first,) + rest
-
-
 def _candidate_ballots(domain: DomainSpec, ranked: bool) -> Tuple[Ballot, ...]:
     if domain.kind == "categorical" and ranked:
-        import itertools
-
         return tuple(itertools.permutations(domain.alternatives))
     return domain.alternative_list()
-
-
-def _outcome_for_counts(
-    mechanism: Mechanism,
-    domain: DomainSpec,
-    counts: Dict[Ballot, int],
-) -> Ballot:
-    total = sum(counts.values())
-    tally = Tally(counts=counts, q=mechanism.re_tau * total)
-    return rules.evaluate_tally(mechanism, tally, domain)
 
 
 def _split_profile(mechanism: Mechanism, profile: Profile):
@@ -164,63 +156,33 @@ def _count_map(ballots: Sequence[Ballot]) -> Dict[Ballot, int]:
     return counts
 
 
-def _enumerate_finite_range(
-    mechanism: Mechanism,
-    domain: DomainSpec,
-    honest_counts: Dict[Ballot, int],
-    sybil_counts: Dict[Ballot, int],
-    budget: int,
-) -> FrozenSet[Ballot]:
-    ranked = any(isinstance(b, tuple) for b in honest_counts) and domain.kind == "categorical"
-    if not honest_counts and mechanism.base in ("cc", "scc"):
-        ranked = True
-    candidates = _candidate_ballots(domain, ranked)
-    types = sorted(honest_counts)
-    bounds = [honest_counts[t] for t in types]
-    h = sum(bounds)
+def _support_ballots(
+    domain: DomainSpec, ranked: bool, target: Ballot
+) -> Tuple[Ballot, ...]:
+    """The ballots added voters cast when pushing toward the target.
 
-    removal_combos = []
-    for x in range(min(budget, h) + 1):
-        removal_combos.extend(
-            (x, combo) for combo in _bounded_compositions(x, bounds)
-        )
-    # Rough work estimate: removals times additions of the largest size.
-    addition_estimate = (budget + 1) ** len(candidates)
-    if len(removal_combos) * max(1, addition_estimate) > _WORK_LIMIT:
-        raise BudgetExceeded(
-            f"range enumeration too large ({len(removal_combos)} removal combos, "
-            f"{len(candidates)} candidate ballots, budget {budget})"
-        )
+    Swapping an added ballot for one of these never hurts the target, so
+    restricting additions to them is lossless for reaching it:
 
-    outcomes = set()
-    for x, removal in removal_combos:
-        base = dict(honest_counts)
-        for t, taken in zip(types, removal):
-            if taken:
-                base[t] -= taken
-                if base[t] == 0:
-                    del base[t]
-        removed_types = {t for t, taken in zip(types, removal) if taken}
-        for y in range(x, budget + 1):
-            for addition in _compositions(y, len(candidates)):
-                # Skip non-canonical combos that re-add a removed type: the
-                # same final multiset is reached at lower cost.
-                if any(
-                    added and candidates[i] in removed_types
-                    for i, added in enumerate(addition)
-                ):
-                    continue
-                counts = dict(base)
-                for cand, added in zip(candidates, addition):
-                    if added:
-                        counts[cand] = counts.get(cand, 0) + added
-                for b, c in sybil_counts.items():
-                    counts[b] = counts.get(b, 0) + c
-                outcomes.add(_outcome_for_counts(mechanism, domain, counts))
-    return frozenset(outcomes)
+    * single choices and hypercube points: the target itself, which weakly
+      raises the target's count (or target-side count on every coordinate);
+    * rankings, target other than r: one target-first ranking.  The target
+      wins only by beating everyone, and moving it to the top of a ballot
+      only raises its support in each of its contests;
+    * rankings, target r: every r-first ranking.  r wins when no challenger
+      beats everyone; moving r to the top never helps a challenger, but the
+      order of the others decides which challengers an added ballot holds
+      back, so additions are spread over all of these orders.
+    """
+    if not ranked:
+        return (target,)
+    others = [a for a in domain.alternative_list() if a != target]
+    if target != domain.r:
+        return (tuple([target] + others),)
+    return tuple((target,) + rest for rest in itertools.permutations(others))
 
 
-def _hypercube_can_reach(
+def _can_reach(
     mechanism: Mechanism,
     domain: DomainSpec,
     honest_counts: Dict[Ballot, int],
@@ -228,35 +190,47 @@ def _hypercube_can_reach(
     budget: int,
     target: Ballot,
 ) -> bool:
-    """Targeted reachability for the issue-wise rule.
+    """Is the target an outcome of some honest modification within budget?
 
-    New voters go on the target: replacing any added ballot by the target
-    weakly raises the target-side count on every coordinate, so this
-    restriction loses nothing for reaching that target.  Removals are
-    enumerated exhaustively over the existing ballot types.
+    Removals of x voters are enumerated exhaustively over the honest ballot
+    types; for each, every y in [x, budget] additions is spread over the
+    target's support ballots (see _support_ballots).  The search gives up
+    after evaluating _WORK_LIMIT tallies.
     """
-    types = sorted(honest_counts)
+    if domain.kind == "interval":
+        raise MechanismMismatch("use the interval range for reach queries")
+    ranked = domain.kind == "categorical" and any(
+        isinstance(b, tuple) for b in honest_counts
+    )
+    support = _support_ballots(domain, ranked, target)
+    bins = len(support)
+    types = sorted(honest_counts, key=repr)
     bounds = [honest_counts[t] for t in types]
     h = sum(bounds)
     work = 0
     for x in range(min(budget, h) + 1):
         for removal in _bounded_compositions(x, bounds):
-            work += 1
-            if work > _WORK_LIMIT:
-                raise BudgetExceeded("hypercube reachability search too large")
-            base = dict(honest_counts)
-            for t, taken in zip(types, removal):
-                if taken:
-                    base[t] -= taken
-                    if base[t] == 0:
-                        del base[t]
+            base = dict(sybil_counts)
+            for t, kept, taken in zip(types, bounds, removal):
+                if kept - taken:
+                    base[t] = base.get(t, 0) + kept - taken
+            electorate = sum(base.values())
             for y in range(x, budget + 1):
-                counts = dict(base)
-                counts[target] = counts.get(target, 0) + y
-                for b, c in sybil_counts.items():
-                    counts[b] = counts.get(b, 0) + c
-                if _outcome_for_counts(mechanism, domain, counts) == target:
-                    return True
+                q = mechanism.re_tau * (electorate + y)
+                for spread in _bounded_compositions(y, (y,) * bins):
+                    work += 1
+                    if work > _WORK_LIMIT:
+                        raise BudgetExceeded(
+                            f"reachability search too large ({len(types)} honest "
+                            f"ballot types, {bins} support ballots, budget {budget})"
+                        )
+                    counts = dict(base)
+                    for ballot, added in zip(support, spread):
+                        if added:
+                            counts[ballot] = counts.get(ballot, 0) + added
+                    tally = Tally(counts=counts, q=q)
+                    if rules.evaluate_tally(mechanism, tally, domain) == target:
+                        return True
     return False
 
 
@@ -365,18 +339,11 @@ def outcome_range(
 
     honest_counts = _count_map(honest)
     sybil_counts = _count_map(sybils)
-    if domain.kind == "hypercube":
-        reachable = frozenset(
-            y
-            for y in domain.alternative_list()
-            if _hypercube_can_reach(
-                mechanism, domain, honest_counts, sybil_counts, budget, y
-            )
-        )
-    else:
-        reachable = _enumerate_finite_range(
-            mechanism, domain, honest_counts, sybil_counts, budget
-        )
+    reachable = frozenset(
+        t
+        for t in domain.alternative_list()
+        if _can_reach(mechanism, domain, honest_counts, sybil_counts, budget, t)
+    )
     return OutcomeRange(gamma=gamma, budget=budget, kind="finite", reachable=reachable)
 
 
@@ -490,54 +457,6 @@ def min_alpha(
     return worst
 
 
-def _target_ballot(mechanism: Mechanism, domain: DomainSpec, target: Ballot) -> Ballot:
-    """The ballot an added supporter casts to push the target through: the
-    target itself, or (for Condorcet rules) a ranking with the target on
-    top.  Swapping any added ballot for this one never lowers the target's
-    standing in any contest, so restricting additions to it is lossless for
-    reachability queries."""
-    if mechanism.base in ("cc", "scc"):
-        rest = [a for a in domain.alternative_list() if a != target]
-        return tuple([target] + rest)
-    return target
-
-
-def _can_reach(
-    mechanism: Mechanism,
-    domain: DomainSpec,
-    honest_counts: Dict[Ballot, int],
-    sybil_counts: Dict[Ballot, int],
-    budget: int,
-    target: Ballot,
-) -> bool:
-    """Is the target an outcome of some honest modification within budget?
-    Removals are enumerated exhaustively; additions go on the target's
-    supporting ballot (see _target_ballot)."""
-    if domain.kind == "interval":
-        raise MechanismMismatch("use the interval range for reach queries")
-    support = _target_ballot(mechanism, domain, target)
-    types = sorted(honest_counts, key=repr)
-    bounds = [honest_counts[t] for t in types]
-    h = sum(bounds)
-    work = 0
-    for x in range(min(budget, h) + 1):
-        for removal in _bounded_compositions(x, bounds):
-            work += 1
-            if work > _WORK_LIMIT:
-                raise BudgetExceeded("reachability search too large")
-            base = dict(sybil_counts)
-            for t, kept, taken in zip(types, bounds, removal):
-                if kept - taken:
-                    base[t] = base.get(t, 0) + kept - taken
-            for y in range(x, budget + 1):
-                counts = dict(base)
-                if y:
-                    counts[support] = counts.get(support, 0) + y
-                if _outcome_for_counts(mechanism, domain, counts) == target:
-                    return True
-    return False
-
-
 def is_live(
     mechanism: Mechanism,
     shape: Tuple[int, Rational, Rational],
@@ -581,7 +500,7 @@ def is_live(
     budget = int(beta * visible_honest)
     honest_counts = {r_ballot: visible_honest} if visible_honest else {}
     candidates = _candidate_ballots(domain, ranked=ranked)
-    for sybil_combo in _compositions(s, len(candidates)):
+    for sybil_combo in _bounded_compositions(s, (s,) * len(candidates)):
         sybil_counts: Dict[Ballot, int] = {}
         for cand, count in zip(candidates, sybil_combo):
             if count:

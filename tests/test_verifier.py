@@ -22,6 +22,7 @@ from realityvote import (
     tightness_witness,
 )
 from realityvote.errors import (
+    BudgetExceeded,
     DegenerateParams,
     MissingPrivateBallots,
     RegimeMismatch,
@@ -322,10 +323,40 @@ class TestParamChecks:
             outcome_range(MJ, prof, F(-1, 2))
 
 
+class TestWorkLimit:
+    RANKINGS = ["a>b>r", "r>a>b", "b>r>a", "a>r>b"]
+
+    def ranking_profile(self):
+        domain = DomainSpec.categorical(["r", "a", "b"], "r")
+        return build_profile(
+            domain, [(ACTIVE, tuple(b.split(">"))) for b in self.RANKINGS]
+        )
+
+    def test_large_ranking_budget_is_answered(self):
+        # Budget 8 over six ranking ballots: an up-front estimate of every
+        # addition over every ranking refused this search.
+        rng = outcome_range(Mechanism("cc"), self.ranking_profile(), 2)
+        assert rng.budget == 8
+        assert rng.reachable == {"r", "a", "b"}
+
+    def test_oversized_search_still_refused(self, monkeypatch):
+        # At budget 1, b is unreachable: its search evaluates 2 tallies
+        # without removals and 4 with one, and the limit counts tallies.
+        from realityvote import verifier
+
+        monkeypatch.setattr(verifier, "_WORK_LIMIT", 5)
+        with pytest.raises(BudgetExceeded):
+            outcome_range(Mechanism("cc"), self.ranking_profile(), F(1, 4))
+        monkeypatch.setattr(verifier, "_WORK_LIMIT", 6)
+        rng = outcome_range(Mechanism("cc"), self.ranking_profile(), F(1, 4))
+        assert rng.reachable == {"r", "a"}
+
+
 def direct_outcome_range(mechanism, profile, gamma):
     """Literal voter-level evaluation of the outcome-range definition, as an
     independent cross-check of the count-multiset enumeration: pick the kept
-    voters one by one, then every ballot tuple for the newcomers."""
+    voters one by one, then every ballot tuple for the newcomers (every
+    ranking when the profile's ballots are rankings)."""
     import itertools
 
     from realityvote.rules import Tally, evaluate_tally
@@ -340,6 +371,10 @@ def direct_outcome_range(mechanism, profile, gamma):
     ]
     sybils = list(profile.sybil_ballots())
     alternatives = profile.domain.alternative_list()
+    if any(isinstance(b, tuple) for b in profile.all_ballots()) and (
+        profile.domain.kind == "categorical"
+    ):
+        alternatives = list(itertools.permutations(profile.domain.alternatives))
     budget = int(F(gamma) * len(honest))
     outcomes = set()
     h = len(honest)
@@ -357,6 +392,32 @@ def direct_outcome_range(mechanism, profile, gamma):
     return frozenset(outcomes)
 
 
+def direct_is_live(mechanism, shape, target, beta, domain):
+    """Voter-level liveness: every honest voter on r (an r-first ranking
+    for Condorcet rules, as in is_live), every sybil ballot multiset, and
+    every modification within budget (via direct_outcome_range)."""
+    import itertools
+
+    n, sigma, mu = shape
+    s, hm = int(sigma * n), int(mu * n)
+    r = domain.r
+    ballots = list(domain.alternative_list())
+    r_ballot = r
+    if mechanism.base in ("cc", "scc"):
+        ballots = list(itertools.permutations(domain.alternatives))
+        r_ballot = tuple([r] + [a for a in domain.alternative_list() if a != r])
+    honest = [(ACTIVE, r_ballot)] * (n - s - hm) + [(PASSIVE, r_ballot)] * hm
+    return all(
+        target
+        in direct_outcome_range(
+            mechanism,
+            build_profile(domain, honest + [(SYBIL, b) for b in sybils]),
+            beta,
+        )
+        for sybils in itertools.combinations_with_replacement(ballots, s)
+    )
+
+
 class TestAgainstDirectEnumeration:
     def test_binary_ranges_match_voter_level_definition(self):
         rng = random.Random(41)
@@ -367,7 +428,11 @@ class TestAgainstDirectEnumeration:
                 voters.append((rng.choice([ACTIVE, PASSIVE, SYBIL]), rng.choice("rp")))
             prof = build_profile(DomainSpec.binary(), voters)
             tau = rng.choice([F(0), F(1, 4), F(1, 2)])
-            mech = Mechanism("mj", re_tau=tau, participation="active")
+            mech = rng.choice([
+                Mechanism("mj", re_tau=tau, participation="active"),
+                Mechanism("smj", base_tau=F(1, 5), re_tau=tau, participation="active"),
+                Mechanism("smj", base_tau=F(2, 5), re_tau=tau),
+            ])
             gamma = rng.choice([F(0), F(1, 2), F(1), F(3, 2)])
             assert outcome_range(mech, prof, gamma).reachable == direct_outcome_range(
                 mech, prof, gamma
@@ -384,11 +449,143 @@ class TestAgainstDirectEnumeration:
                     (rng.choice([ACTIVE, SYBIL]), rng.choice(["r", "a", "b"]))
                 )
             prof = build_profile(domain, voters)
-            mech = Mechanism("pl", re_tau=rng.choice([F(0), F(1, 3)]))
+            tau = rng.choice([F(0), F(1, 3)])
+            mech = rng.choice([
+                Mechanism("pl", re_tau=tau),
+                Mechanism("smj", base_tau=rng.choice([F(0), F(1, 5)]), re_tau=tau),
+            ])
             gamma = rng.choice([F(0), F(1, 2), F(1)])
             assert outcome_range(mech, prof, gamma).reachable == direct_outcome_range(
                 mech, prof, gamma
             )
+
+    def test_ranking_ranges_match_voter_level_definition(self):
+        # Condorcet rules: additions go on one target-first ranking, or on
+        # every r-first ranking when the target is the status quo.
+        import itertools
+
+        domain = DomainSpec.categorical(["r", "a", "b"], "r")
+        rankings = list(itertools.permutations(["r", "a", "b"]))
+        rng = random.Random(44)
+        for _ in range(60):
+            n = rng.randint(1, 4)
+            voters = [(ACTIVE, rng.choice(rankings))]
+            for _ in range(n - 1):
+                voters.append((rng.choice([ACTIVE, PASSIVE, SYBIL]), rng.choice(rankings)))
+            prof = build_profile(domain, voters)
+            tau = rng.choice([F(0), F(1, 4), F(1, 2), F(1)])
+            mode = rng.choice(["full", "active"])
+            mech = rng.choice([
+                Mechanism("cc", re_tau=tau, participation=mode),
+                Mechanism("scc", base_tau=F(1, 5), re_tau=tau, participation=mode),
+            ])
+            gamma = rng.choice([F(0), F(1, 4), F(1, 2)] + [F(1)] * (n < 4))
+            assert outcome_range(mech, prof, gamma).reachable == direct_outcome_range(
+                mech, prof, gamma
+            ), (mech, prof.voters, gamma)
+
+    def test_status_quo_needs_every_r_first_ranking(self, monkeypatch):
+        # r is reachable only by adding r>b>a, which holds back the
+        # challenger a; with r>a>b as the only support ballot it is not.
+        from realityvote import verifier
+
+        domain = DomainSpec.categorical(["r", "a", "b"], "r")
+        honest = ["a>r>b", "a>r>b", "a>b>r", "b>a>r", "a>b>r", "r>b>a"]
+        prof = build_profile(domain, [(ACTIVE, tuple(b.split(">"))) for b in honest])
+        mech = Mechanism("cc", re_tau=F(1, 4))
+        reachable = outcome_range(mech, prof, F(1, 4)).reachable
+        assert reachable == direct_outcome_range(mech, prof, F(1, 4)) == {"a", "r"}
+        monkeypatch.setattr(
+            verifier, "_support_ballots", lambda domain, ranked, target: (
+                (target, *[a for a in ("r", "a", "b") if a != target]),
+            )
+        )
+        assert outcome_range(mech, prof, F(1, 4)).reachable == {"a"}
+
+    def test_hypercube_ranges_match_voter_level_definition(self):
+        cube = DomainSpec.hypercube(2, (0, 0))
+        points = list(cube.alternative_list())
+        rng = random.Random(45)
+        for _ in range(60):
+            n = rng.randint(1, 4)
+            voters = [(ACTIVE, rng.choice(points))]
+            for _ in range(n - 1):
+                voters.append((rng.choice([ACTIVE, PASSIVE, SYBIL]), rng.choice(points)))
+            prof = build_profile(cube, voters)
+            tau = rng.choice([F(0), F(1, 4), F(1, 2)])
+            mech = Mechanism("imj", re_tau=tau, participation=rng.choice(["full", "active"]))
+            gamma = rng.choice([F(0), F(1, 2), F(1), F(3, 2)])
+            assert outcome_range(mech, prof, gamma).reachable == direct_outcome_range(
+                mech, prof, gamma
+            )
+
+    def test_liveness_matches_voter_level_definition(self):
+        binary = DomainSpec.binary()
+        three = DomainSpec.categorical(["r", "a", "b"], "r")
+        cases = [
+            (Mechanism("mj", participation="active"), binary, "p", 4),
+            (Mechanism("mj", re_tau=F(1, 4)), binary, "p", 4),
+            (Mechanism("smj", base_tau=F(2, 5), participation="active"), binary, "p", 4),
+            (Mechanism("smj", base_tau=F(2, 5)), binary, "p", 4),
+            (Mechanism("cc", participation="active"), three, "a", 2),
+            (Mechanism("cc", re_tau=F(1, 4)), three, "a", 2),
+            (Mechanism("cc"), three, "r", 1),
+        ]
+        for mech, domain, target, max_budget in cases:
+            for n in range(1, 6):
+                for s in range(0, n):
+                    for hm in range(0, n - s):
+                        hp = n - s - hm
+                        if hp < 1 or (domain is three and s > 2):
+                            continue
+                        shape = (n, F(s, n), F(hm, n))
+                        visible = hp if mech.participation == "active" else hp + hm
+                        for b in range(max_budget + 1):
+                            beta = F(b, visible)
+                            assert is_live(mech, shape, target, beta, domain) == (
+                                direct_is_live(mech, shape, target, beta, domain)
+                            ), (mech, shape, target, beta)
+
+    def test_interval_liveness_three_sybil_placements_suffice(self):
+        # is_live parks every sybil at one of three places; sybils spread
+        # over a probe grid never block a target those three let through.
+        import itertools
+
+        line = DomainSpec.interval(0)
+        grid = [F(k) for k in range(-6, 7)] + [F(-1, 2), F(1, 2)]
+        mechanisms = [
+            Mechanism("md", participation="active"),
+            Mechanism("md", re_tau=F(1, 4)),
+            Mechanism("som", base_tau=F(1, 4), re_tau=F(1, 2), participation="active"),
+        ]
+        for mech in mechanisms:
+            for n in range(1, 5):
+                for s in range(0, n):
+                    for hm in range(0, n - s):
+                        hp = n - s - hm
+                        if hp < 1:
+                            continue
+                        shape = (n, F(s, n), F(hm, n))
+                        honest = [(ACTIVE, 0)] * hp + [(PASSIVE, 0)] * hm
+                        visible = hp if mech.participation == "active" else hp + hm
+                        for target in (F(-3), F(2), F(5)):
+                            for b in range(4):
+                                beta = F(b, visible)
+                                probed = all(
+                                    outcome_range(
+                                        mech,
+                                        build_profile(
+                                            line, honest + [(SYBIL, x) for x in sybils]
+                                        ),
+                                        beta,
+                                    ).contains(target)
+                                    for sybils in itertools.combinations_with_replacement(
+                                        grid, s
+                                    )
+                                )
+                                assert is_live(mech, shape, target, beta, line) == probed, (
+                                    mech, shape, target, beta
+                                )
 
     def test_interval_hull_matches_probed_mover_placements(self):
         # Place the movers on a fine probe grid (which the hull construction
