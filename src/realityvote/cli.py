@@ -164,11 +164,11 @@ def cmd_oracle(args) -> int:
     shape = (n, sigma, mu)
 
     if args.liveness:
-        units = int((1 - mu) * n - sigma * n) if mechanism.participation == "active" else int((1 - sigma) * n)
         threshold = guarantees.liveness_threshold(setting, sigma, mu, tau)
         finite = verifier.smallest_live_beta(
             mechanism, shape, args.target or "p", max_units=args.max_units
         )
+        units = verifier.visible_honest(mechanism, shape)
         adjusted_units = int(threshold * units) + 1  # least multiple strictly above
         adjusted = Fraction(adjusted_units, units)
         print(f"finite beta: {format_rational(finite)}")

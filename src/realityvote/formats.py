@@ -54,16 +54,42 @@ def _domain_to_json(domain: DomainSpec) -> dict:
     return {"kind": "interval", "r": format_rational(domain.status_quo_position)}
 
 
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise InvalidBallot(message)
+
+
+def _label(raw) -> str:
+    _require(isinstance(raw, str), f"alternatives are strings, not {raw!r}")
+    return raw
+
+
+def _point(raw) -> Tuple[int, ...]:
+    # `type(b) is int` turns away bool, the int subclass JSON true/false parse to
+    ok = isinstance(raw, list) and all(type(b) is int and b in (0, 1) for b in raw)
+    _require(ok, f"hypercube points are lists of 0/1 integers, not {raw!r}")
+    return tuple(raw)
+
+
+def _position(raw) -> Fraction:
+    ok = isinstance(raw, str) or type(raw) is int
+    _require(ok, f"positions are exact 'p/q' strings, not {raw!r}")
+    return Fraction(raw)
+
+
 def _domain_from_json(doc: dict) -> DomainSpec:
     kind = doc.get("kind")
     if kind == "binary":
-        return DomainSpec.binary(status_quo=doc["r"], proposal=doc["p"])
+        return DomainSpec.binary(status_quo=_label(doc["r"]), proposal=_label(doc["p"]))
     if kind == "categorical":
-        return DomainSpec.categorical(doc["alternatives"], doc["r"])
+        alternatives = doc["alternatives"]
+        _require(isinstance(alternatives, list), "categorical alternatives are a list")
+        return DomainSpec.categorical([_label(a) for a in alternatives], _label(doc["r"]))
     if kind == "hypercube":
-        return DomainSpec.hypercube(doc["d"], doc["r"])
+        _require(type(doc["d"]) is int, f"the dimension is an integer, not {doc['d']!r}")
+        return DomainSpec.hypercube(doc["d"], _point(doc["r"]))
     if kind == "interval":
-        return DomainSpec.interval(Fraction(doc["r"]))
+        return DomainSpec.interval(_position(doc["r"]))
     raise InvalidBallot(f"unknown domain kind {kind!r}")
 
 
@@ -83,13 +109,11 @@ def _ballot_from_json(domain: DomainSpec, raw) -> Optional[Ballot]:
     if raw is None:
         return None
     if domain.kind == "interval":
-        if isinstance(raw, float):
-            raise InvalidBallot("positions must be exact 'p/q' strings, not floats")
-        return Fraction(raw)
+        return _position(raw)
     if domain.kind == "hypercube":
-        return tuple(int(b) for b in raw)
-    if isinstance(raw, list):
-        return tuple(raw)
+        return _point(raw)
+    if isinstance(raw, list):  # ranking
+        return tuple(_label(a) for a in raw)
     return raw
 
 
@@ -114,11 +138,19 @@ def profile_from_json(text: str) -> Profile:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidBallot(f"profile file is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict) or "domain" not in doc or "voters" not in doc:
-        raise InvalidBallot("profile file needs 'domain' and 'voters' fields")
-    domain = _domain_from_json(doc["domain"])
+    ok = isinstance(doc, dict) and isinstance(doc.get("domain"), dict)
+    ok = ok and isinstance(doc.get("voters"), list)
+    _require(ok, "profile file needs a 'domain' object and a 'voters' list")
+    if doc.get("format", PROFILE_FORMAT) != PROFILE_FORMAT:
+        raise InvalidBallot(f"unknown profile format {doc['format']!r}")
+    try:
+        domain = _domain_from_json(doc["domain"])
+    except KeyError as exc:
+        raise InvalidBallot(f"the domain lacks the {exc} field") from None
     entries = []
     for voter in doc["voters"]:
+        if not isinstance(voter, dict):
+            raise InvalidBallot(f"a voter entry must be an object, not {voter!r}")
         tag = voter.get("class")
         if tag not in _TAG_TO_CLASS:
             raise InvalidBallot(f"unknown voter class {tag!r}")

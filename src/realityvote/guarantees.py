@@ -120,31 +120,14 @@ def feasibility(setting: Setting, sigma: Rational, mu: Rational) -> GuaranteeRep
     """Can the reality-enforcing parameter buy 0-safety and 1-liveness at once?
 
     Impossible exactly when 3*sigma + 2*mu >= 1 (arbitrary participation),
-    3*sigma + mu >= 1 (random participation), or sigma >= 1/3 (proxy).
-    The report's alpha/beta columns are evaluated at tau_lo when the window
-    is nonempty, else at tau = 0.
+    3*sigma + mu >= 1 (random participation), or sigma >= 1/3 (proxy):
+    multiplied by 1 - mu > 0, tau_lo < tau_hi is the negation of each.  The
+    report is evaluated at tau_lo when the window is nonempty, else at 0.
     """
     sigma, mu = as_fraction(sigma), as_fraction(mu)
     _check_params(sigma, mu)
     window = _zero_safe_one_live_interval(setting, sigma, mu)
-    if setting in (Setting.ARBITRARY_BINARY, Setting.MULTI_ALT_SMJ):
-        impossible = 3 * sigma + 2 * mu >= 1
-    elif setting in _RANDOM:
-        impossible = 3 * sigma + mu >= 1
-    else:
-        impossible = sigma >= Fraction(1, 3)
-    tau = max(Fraction(0), window[0]) if window else Fraction(0)
-    return GuaranteeReport(
-        setting=setting,
-        sigma=sigma,
-        mu=mu,
-        tau=tau,
-        alpha_star=safety_threshold(setting, sigma, mu, tau),
-        beta_star=liveness_threshold(setting, sigma, mu, tau),
-        alpha_is_whp=safety_is_whp(setting),
-        feasible_tau=window,
-        impossibility=impossible,
-    )
+    return report(setting, sigma, mu, max(Fraction(0), window[0]) if window else 0)
 
 
 def required_tau(
@@ -171,10 +154,10 @@ def required_tau(
 def report(
     setting: Setting, sigma: Rational, mu: Rational, tau: Rational
 ) -> GuaranteeReport:
-    """Full report for one parameter triple."""
+    """Full report for one parameter triple (window: see feasibility)."""
     sigma, mu, tau = as_fraction(sigma), as_fraction(mu), as_fraction(tau)
     _check_params(sigma, mu, tau)
-    base = feasibility(setting, sigma, mu)
+    window = _zero_safe_one_live_interval(setting, sigma, mu)
     return GuaranteeReport(
         setting=setting,
         sigma=sigma,
@@ -183,6 +166,6 @@ def report(
         alpha_star=safety_threshold(setting, sigma, mu, tau),
         beta_star=liveness_threshold(setting, sigma, mu, tau),
         alpha_is_whp=safety_is_whp(setting),
-        feasible_tau=base.feasible_tau,
-        impossibility=base.impossibility,
+        feasible_tau=window,
+        impossibility=window is None,
     )

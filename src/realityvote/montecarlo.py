@@ -19,7 +19,7 @@ import numpy as np
 from . import proxy, verifier
 from .errors import DegenerateParams, SampleTooLarge
 from .guarantees import Setting, safety_threshold
-from .population import Profile, Rational, as_fraction
+from .population import HONEST_CLASSES, Profile, Rational, VoterClass, as_fraction
 from .rules import Mechanism
 
 
@@ -93,8 +93,8 @@ def run_safety_whp(exp: Experiment) -> TrialStats:
     if exp.profile.domain.kind != "binary":
         raise DegenerateParams("the w.h.p. safety experiment is binary")
     domain = exp.profile.domain
-    honest_p = exp.profile.honest_ballots().count(domain.proposal)
-    sybil_p = exp.profile.sybil_ballots().count(domain.proposal)
+    honest_p = exp.profile.ballot_counts(HONEST_CLASSES).get(domain.proposal, 0)
+    sybil_p = exp.profile.counts[VoterClass.SYBIL].get(domain.proposal, 0)
     h, s = exp.profile.n_honest, exp.profile.n_sybil
     n = exp.profile.n
     sigma = exp.profile.sigma
@@ -189,7 +189,7 @@ def hoeffding_diagnostic(
         raise DegenerateParams("the diagnostic runs on binary templates")
     if trials < 1:
         raise DegenerateParams("need at least one trial")
-    honest_p = template.honest_ballots().count(template.domain.proposal)
+    honest_p = template.ballot_counts(HONEST_CLASSES).get(template.domain.proposal, 0)
     honest = template.n_honest
     if n_plus > honest or n_plus < 1:
         raise SampleTooLarge("active sample must fit inside the honest set")

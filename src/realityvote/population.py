@@ -1,8 +1,10 @@
 """Voter populations, ballots, and the fraction parameters shared by all modules.
 
-A population is split into honest voters (active or passive) and sybils.
-All derived fractions (sybil share, passive share, participation rate) are
-exact rationals; nothing in this package tallies with floats.
+A population is split into honest voters (active or passive) and sybils,
+stored in voter order (which serialization, projection and proxy draws
+use) and counted once into ``Profile.counts``, which every fraction, tally
+and outcome range reads: every rule is anonymous.  All derived fractions
+are exact rationals; nothing in this package tallies with floats.
 """
 
 from __future__ import annotations
@@ -10,7 +12,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple, Union
+from functools import cached_property
+from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 from .errors import (
     InvalidBallot,
@@ -34,6 +37,11 @@ class VoterClass(enum.Enum):
     HONEST_ACTIVE = "honest_active"
     HONEST_PASSIVE = "honest_passive"
     SYBIL = "sybil"
+
+    __hash__ = object.__hash__  # members are singletons; Enum's hash runs Python code
+
+
+HONEST_CLASSES = (VoterClass.HONEST_ACTIVE, VoterClass.HONEST_PASSIVE)
 
 
 def as_fraction(value: Rational) -> Fraction:
@@ -175,7 +183,7 @@ class Profile:
 
     Passive honest voters may carry a ballot (their private vote, needed to
     evaluate the base rule on all honest voters) or omit it.  Active honest
-    voters and sybils always carry one.
+    voters and sybils always carry one.  Aggregates read ``counts``.
     """
 
     domain: DomainSpec
@@ -185,12 +193,30 @@ class Profile:
     def n(self) -> int:
         return len(self.voters)
 
-    def count(self, cls: VoterClass) -> int:
-        return sum(1 for c, _ in self.voters if c is cls)
+    @cached_property
+    def counts(self) -> Dict[VoterClass, Dict[Optional[Ballot], int]]:
+        """Ballot counts per voter class (every class present, a missing
+        private ballot under None), derived once from ``voters``; read-only."""
+        counts = {cls: {} for cls in (*HONEST_CLASSES, VoterClass.SYBIL)}
+        for cls, ballot in self.voters:
+            by_ballot = counts[cls]
+            by_ballot[ballot] = by_ballot.get(ballot, 0) + 1
+        return counts
+
+    def ballot_counts(self, classes: Iterable[VoterClass]) -> Dict[Optional[Ballot], int]:
+        """Ballot counts summed over the given voter classes (a new dict)."""
+        merged: Dict[Optional[Ballot], int] = {}
+        for cls in classes:
+            if not merged:  # a copy reuses the stored hashes
+                merged = dict(self.counts[cls])
+                continue
+            for ballot, k in self.counts[cls].items():
+                merged[ballot] = merged.get(ballot, 0) + k
+        return merged
 
     @property
     def n_sybil(self) -> int:
-        return self.count(VoterClass.SYBIL)
+        return sum(self.counts[VoterClass.SYBIL].values())
 
     @property
     def n_honest(self) -> int:
@@ -198,11 +224,11 @@ class Profile:
 
     @property
     def n_active_honest(self) -> int:
-        return self.count(VoterClass.HONEST_ACTIVE)
+        return sum(self.counts[VoterClass.HONEST_ACTIVE].values())
 
     @property
     def n_passive_honest(self) -> int:
-        return self.count(VoterClass.HONEST_PASSIVE)
+        return sum(self.counts[VoterClass.HONEST_PASSIVE].values())
 
     @property
     def n_visible(self) -> int:
@@ -227,28 +253,9 @@ class Profile:
         """Participation rate among honest voters."""
         return Fraction(self.n_active_honest, self.n_honest)
 
-    def visible_ballots(self) -> Tuple[Ballot, ...]:
-        """Ballots the mechanism can see: honest actives and sybils."""
-        return tuple(
-            b
-            for c, b in self.voters
-            if c in (VoterClass.HONEST_ACTIVE, VoterClass.SYBIL)
-        )
-
-    def all_ballots(self) -> Tuple[Ballot, ...]:
-        """Every ballot present, including passive voters' private ones."""
-        return tuple(b for _, b in self.voters if b is not None)
-
-    def honest_ballots(self) -> Tuple[Optional[Ballot], ...]:
-        return tuple(b for c, b in self.voters if c is not VoterClass.SYBIL)
-
-    def sybil_ballots(self) -> Tuple[Ballot, ...]:
-        return tuple(b for c, b in self.voters if c is VoterClass.SYBIL)
-
     def has_full_honest_ballots(self) -> bool:
-        return all(
-            b is not None for c, b in self.voters if c is not VoterClass.SYBIL
-        )
+        """Does every passive voter carry a private ballot (actives always do)?"""
+        return None not in self.counts[VoterClass.HONEST_PASSIVE]
 
 
 def build_profile(
@@ -283,10 +290,9 @@ def build_profile(
         validated.append((cls, ballot))
     if saw_ranking and saw_single:
         raise MixedBallotKind("cannot mix ranking and single-choice ballots")
-    profile = Profile(domain=domain, voters=tuple(validated))
-    if profile.n_active_honest == 0:
+    if not any(cls is VoterClass.HONEST_ACTIVE for cls, _ in validated):
         raise NoActiveHonest("at least one honest voter must be active")
-    return profile
+    return Profile(domain=domain, voters=tuple(validated))
 
 
 def project_to_pair(profile: Profile, x: Rational, y: Rational) -> Profile:
@@ -372,20 +378,13 @@ class NonatomicProfile:
             raise InvalidBallot("nonatomic populations are binary only")
         if not profile.has_full_honest_ballots():
             raise InvalidBallot("passive voters need private ballots here")
-        r_label = profile.domain.status_quo
-        n = profile.n
-        h_r = h_p = s_r = s_p = Fraction(0)
-        for cls, ballot in profile.voters:
-            share = Fraction(1, n)
-            if cls is VoterClass.SYBIL:
-                if ballot == r_label:
-                    s_r += share
-                else:
-                    s_p += share
-            elif ballot == r_label:
-                h_r += share
-            else:
-                h_p += share
+        honest = profile.ballot_counts(HONEST_CLASSES)
+        sybil = profile.counts[VoterClass.SYBIL]
+        r, p, n = profile.domain.status_quo, profile.domain.proposal, profile.n
         return NonatomicProfile(
-            h_r=h_r, h_p=h_p, s_r=s_r, s_p=s_p, participation=profile.phi
+            h_r=Fraction(honest.get(r, 0), n),
+            h_p=Fraction(honest.get(p, 0), n),
+            s_r=Fraction(sybil.get(r, 0), n),
+            s_p=Fraction(sybil.get(p, 0), n),
+            participation=profile.phi,
         )

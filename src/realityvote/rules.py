@@ -6,6 +6,8 @@ status quo before the base rule runs; ``q`` is kept as an exact rational
 (tau times the visible electorate), never rounded to a whole number of
 voters, which keeps the supermajority and suppressed-median equivalences
 exact on knife-edge profiles.
+A tally sums the profile's ballot counts (``Profile.counts``) over the
+voter classes the participation mode shows (``visible_classes``).
 """
 
 from __future__ import annotations
@@ -23,11 +25,13 @@ from .errors import (
     MissingPrivateBallots,
     NonRankingBallot,
 )
-from .population import Ballot, DomainSpec, Profile, Rational, as_fraction
+from .population import Ballot, DomainSpec, Profile, Rational, VoterClass, as_fraction
 
 PARTICIPATION_MODES = ("full", "active", "proxy")
 BASE_RULES = ("mj", "pl", "smj", "cc", "scc", "imj", "md", "som")
 THRESHOLD_RULES = ("smj", "scc", "som")  # the base rules that take a tau
+_EVERY_CLASS = tuple(VoterClass)
+_ACTIVE_CLASSES = (VoterClass.HONEST_ACTIVE, VoterClass.SYBIL)
 
 _DOMAIN_FOR_BASE = {
     "mj": ("binary",),
@@ -47,7 +51,7 @@ class Mechanism:
     participation treatment.
 
     ``re_tau`` is the reality-enforcing tau; 0 means no wrapper.  ``base_tau``
-    parameterizes smj/scc/som and is ignored by the other base rules.
+    parameterizes smj/scc/som and must stay 0 for the other base rules.
     """
 
     base: str
@@ -64,6 +68,8 @@ class Mechanism:
         object.__setattr__(self, "re_tau", as_fraction(self.re_tau))
         if self.base_tau < 0 or self.re_tau < 0:
             raise MechanismMismatch("tau parameters must be nonnegative")
+        if self.base_tau and self.base not in THRESHOLD_RULES:
+            raise MechanismMismatch(f"base rule {self.base!r} takes no threshold")
         if self.base == "som" and not self.base_tau < 1:
             raise MechanismMismatch("suppression fraction must lie in [0, 1)")
 
@@ -336,14 +342,12 @@ def suppress_outer_median(tau: Fraction, tally: Tally, domain: DomainSpec) -> Fr
 # Dispatch.
 
 
-def visible_ballots(mechanism: Mechanism, profile: Profile) -> Tuple[Ballot, ...]:
+def visible_classes(mechanism: Mechanism) -> Tuple[VoterClass, ...]:
+    """The voter classes whose ballots the mechanism tallies: all of them
+    under full participation, the honest actives and sybils otherwise."""
     if mechanism.participation == "full":
-        if not profile.has_full_honest_ballots():
-            raise MissingPrivateBallots(
-                "full participation needs ballots for every honest voter"
-            )
-        return profile.all_ballots()
-    return profile.visible_ballots()
+        return _EVERY_CLASS
+    return _ACTIVE_CLASSES
 
 
 def virtual_mass(mechanism: Mechanism, profile: Profile) -> Fraction:
@@ -356,9 +360,11 @@ def virtual_mass(mechanism: Mechanism, profile: Profile) -> Fraction:
 
 
 def build_tally(mechanism: Mechanism, profile: Profile) -> Tally:
-    return tally_ballots(
-        visible_ballots(mechanism, profile), virtual_mass(mechanism, profile)
-    )
+    """The visible classes' ballot counts (see visible_classes) plus q."""
+    counts = profile.ballot_counts(visible_classes(mechanism))
+    if None in counts:
+        raise MissingPrivateBallots("full participation needs passive voters' ballots")
+    return Tally(counts=counts, q=virtual_mass(mechanism, profile))
 
 
 def evaluate_tally(mechanism: Mechanism, tally: Tally, domain: DomainSpec) -> Ballot:

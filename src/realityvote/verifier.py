@@ -7,18 +7,18 @@ instances; the closed-form module is validated against these results, not
 the other way around.  Enumeration is over ballot-count multisets, which is
 exhaustive because every implemented rule is anonymous.
 
-On finite domains one targeted search (``_can_reach``) answers every
-reachability question: is this alternative the outcome of some
-modification of at most the budget's honest voters?  The outcome range is
-the set of alternatives, status quo included, for which it answers yes,
-and liveness asks it for the target against every sybil ballot multiset.
-Removals are enumerated exhaustively over the honest ballot types; added
-voters cast only the target's support ballots (``_support_ballots``): the
-target itself, one target-first ranking, or, for the status quo under
-ranking ballots, every r-first ranking.  Swapping any added ballot for a
-support ballot never hurts the target, so the restriction loses nothing.
-On the line the range is an interval, found from sentinel movers
-(``_interval_range``).
+One targeted search (``_can_reach``) on honest and sybil ballot counts
+answers every reachability question: is this alternative the outcome of
+some modification of at most the budget's honest voters?  On finite
+domains the outcome range is the set of alternatives, status quo included,
+for which it answers yes; liveness asks it for the target against every
+sybil placement.  Removals are enumerated exhaustively over the honest
+ballot types; added voters cast only the target's support ballots
+(``_support_ballots``): the target itself, one target-first ranking, or,
+for the status quo under ranking ballots, every r-first ranking.  Swapping
+any added ballot for a support ballot never hurts the target, so the
+restriction loses nothing.  On the line the range is an interval, found
+from sentinel movers (``_interval_range``).
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from .errors import (
     UnrealizableShape,
 )
 from .population import (
+    HONEST_CLASSES,
     Ballot,
     DomainSpec,
     NonatomicProfile,
@@ -127,33 +128,16 @@ def _bounded_compositions(
             yield (first,) + rest
 
 
-def _candidate_ballots(domain: DomainSpec, ranked: bool) -> Tuple[Ballot, ...]:
-    if domain.kind == "categorical" and ranked:
-        return tuple(itertools.permutations(domain.alternatives))
-    return domain.alternative_list()
-
-
-def _split_profile(mechanism: Mechanism, profile: Profile):
-    """The honest ballots the budget may rewrite, plus the fixed sybil part."""
+def _split_profile(mechanism: Mechanism, profile: Profile) -> Tuple[Dict, Dict]:
+    """Ballot counts of the visible (modifiable) honest voters and the sybils."""
     if mechanism.participation == "proxy":
         raise MechanismMismatch("outcome ranges for proxy mechanisms are not enumerable")
-    honest: List[Ballot] = []
-    for cls, ballot in profile.voters:
-        if cls is VoterClass.SYBIL:
-            continue
-        if cls is VoterClass.HONEST_PASSIVE and mechanism.participation == "active":
-            continue  # invisible to the mechanism, not modifiable
-        if ballot is None:
-            raise MissingPrivateBallots("modifiable honest voters need ballots")
-        honest.append(ballot)
-    return honest, list(profile.sybil_ballots())
-
-
-def _count_map(ballots: Sequence[Ballot]) -> Dict[Ballot, int]:
-    counts: Dict[Ballot, int] = {}
-    for b in ballots:
-        counts[b] = counts.get(b, 0) + 1
-    return counts
+    honest = profile.ballot_counts(
+        c for c in rules.visible_classes(mechanism) if c is not VoterClass.SYBIL
+    )
+    if None in honest:
+        raise MissingPrivateBallots("modifiable honest voters need ballots")
+    return honest, profile.counts[VoterClass.SYBIL]
 
 
 def _support_ballots(
@@ -195,10 +179,11 @@ def _can_reach(
     Removals of x voters are enumerated exhaustively over the honest ballot
     types; for each, every y in [x, budget] additions is spread over the
     target's support ballots (see _support_ballots).  The search gives up
-    after evaluating _WORK_LIMIT tallies.
+    after evaluating _WORK_LIMIT tallies.  On the line: _interval_range.
     """
     if domain.kind == "interval":
-        raise MechanismMismatch("use the interval range for reach queries")
+        lo, hi = _interval_range(mechanism, domain, honest_counts, sybil_counts, budget)
+        return BetweenRegion(kind="interval", lo=lo, hi=hi).contains(target)
     ranked = domain.kind == "categorical" and any(
         isinstance(b, tuple) for b in honest_counts
     )
@@ -240,8 +225,8 @@ _BIG_STEP = 1_000_000
 def _interval_range(
     mechanism: Mechanism,
     domain: DomainSpec,
-    honest: Sequence[Fraction],
-    sybils: Sequence[Fraction],
+    honest_counts: Dict[Fraction, int],
+    sybil_counts: Dict[Fraction, int],
     budget: int,
 ) -> Tuple[Optional[Fraction], Optional[Fraction]]:
     """Extremes of the reachable median set via sentinel movers.
@@ -260,11 +245,14 @@ def _interval_range(
     sentinel block plus the sybils, so a prefix mass is two bisections.
     """
     r = domain.status_quo_position
-    spread = [abs(p) for p in honest] + [abs(p) for p in sybils] + [abs(r)]
-    sentinel = max(spread) + _BIG_STEP
-    scale = rules.position_scale([*honest, *sybils, r, sentinel])
-    ordered = sorted(rules.scaled(p, scale) for p in honest)
-    fixed = sorted(rules.scaled(p, scale) for p in sybils)
+    positions = [*honest_counts, *sybil_counts, r]
+    sentinel = max(abs(p) for p in positions) + _BIG_STEP
+    scale = rules.position_scale([*positions, sentinel])
+
+    def voters(counts: Dict[Fraction, int]) -> List[int]:  # scaled, ascending
+        return sorted(rules.scaled(p, scale) for p, k in counts.items() for _ in range(k))
+
+    ordered, fixed = voters(honest_counts), voters(sybil_counts)
     r_x, top = rules.scaled(r, scale), rules.scaled(sentinel, scale)
     xs = sorted({*ordered, *fixed, r_x, top, -top})
     h = len(ordered)
@@ -328,17 +316,15 @@ def outcome_range(
     if gamma < 0:
         raise DegenerateParams("gamma must be nonnegative")
     domain = profile.domain
-    honest, sybils = _split_profile(mechanism, profile)
-    budget = int(gamma * len(honest))
+    honest_counts, sybil_counts = _split_profile(mechanism, profile)
+    budget = int(gamma * sum(honest_counts.values()))
 
     if domain.kind == "interval":
-        lo, hi = _interval_range(mechanism, domain, honest, sybils, budget)
+        lo, hi = _interval_range(mechanism, domain, honest_counts, sybil_counts, budget)
         return OutcomeRange(
             gamma=gamma, budget=budget, kind="interval", lo=lo, hi=hi
         )
 
-    honest_counts = _count_map(honest)
-    sybil_counts = _count_map(sybils)
     reachable = frozenset(
         t
         for t in domain.alternative_list()
@@ -356,9 +342,9 @@ def _cached_range(mechanism: Mechanism, profile: Profile, gamma: Fraction) -> Ou
     key = (
         mechanism,
         profile.domain,
-        tuple(sorted(_count_map(honest).items(), key=repr)),
-        tuple(sorted(_count_map(sybils).items(), key=repr)),
-        int(as_fraction(gamma) * len(honest)),
+        frozenset(honest.items()),
+        frozenset(sybils.items()),
+        int(as_fraction(gamma) * sum(honest.values())),
     )
     hit = _range_cache.get(key)
     if hit is None:
@@ -370,13 +356,14 @@ def _cached_range(mechanism: Mechanism, profile: Profile, gamma: Fraction) -> Ou
 
 
 def honest_only(profile: Profile) -> Profile:
-    """The honest sub-population, for evaluating the base rule on H."""
+    """The honest sub-population, for evaluating the base rule on H: the
+    validated voters filtered, counted by the parent's counts minus sybils."""
     if not profile.has_full_honest_ballots():
         raise MissingPrivateBallots("safety needs passive voters' private ballots")
-    return build_profile(
-        profile.domain,
-        [(c, b) for c, b in profile.voters if c is not VoterClass.SYBIL],
-    )
+    honest = tuple(v for v in profile.voters if v[0] is not VoterClass.SYBIL)
+    sub = Profile(domain=profile.domain, voters=honest)
+    object.__setattr__(sub, "counts", {**profile.counts, VoterClass.SYBIL: {}})
+    return sub
 
 
 def is_safe(
@@ -457,6 +444,13 @@ def min_alpha(
     return worst
 
 
+def visible_honest(mechanism: Mechanism, shape: Tuple[int, Rational, Rational]) -> int:
+    """Honest voters of the shape the mechanism sees (the liveness budget's
+    unit): the actives under active-only restriction, else every one."""
+    n, s, hm = _shape_counts(shape)
+    return n - s - hm if mechanism.participation == "active" else n - s
+
+
 def is_live(
     mechanism: Mechanism,
     shape: Tuple[int, Rational, Rational],
@@ -464,52 +458,38 @@ def is_live(
     beta: Rational,
     domain: Optional[DomainSpec] = None,
 ) -> bool:
-    """Liveness on the worst-case population: everyone starts on the status
-    quo, and the sybil ballots are then re-enumerated adversarially.  The
-    budget is measured against the honest voters the mechanism sees."""
+    """Liveness on the worst-case population: every honest voter starts on
+    the status quo (an r-first ranking for Condorcet rules), and the target
+    must stay reachable against every sybil ballot multiset; the budget is
+    measured against visible_honest.  On the line both ends of the range
+    are nondecreasing in each sybil's position, so every sybil far below
+    (lowest top end) or far above (highest bottom end) blocks whatever any
+    placement blocks."""
     domain = domain or DomainSpec.binary()
-    n, s, hm = _shape_counts(shape)
-    h_plus = n - s - hm
-    r = domain.r
+    _, s, _ = _shape_counts(shape)
     target = domain.validate_ballot(target, allow_ranking=False)
     beta = as_fraction(beta)
-
+    if beta < 0:
+        raise DegenerateParams("beta must be nonnegative")
+    r = domain.r
+    visible = visible_honest(mechanism, shape)
+    budget = int(beta * visible)
     if domain.kind == "interval":
-        # A sybil's pull on a weighted median is monotone in its position,
-        # so blocking is hardest with all sybils parked at one extreme (or
-        # on the status quo); the three pure placements cover the worst
-        # case.
-        sentinel = (abs(as_fraction(target)) + abs(r) + 1) * 2 + _BIG_STEP
-        for block in (-sentinel, r, sentinel):
-            voters = [(VoterClass.HONEST_ACTIVE, r)] * h_plus
-            voters += [(VoterClass.HONEST_PASSIVE, r)] * hm
-            voters += [(VoterClass.SYBIL, as_fraction(block))] * s
-            profile = build_profile(domain, voters)
-            if not _cached_range(mechanism, profile, beta).contains(target):
-                return False
-        return True
-
-    ranked = mechanism.base in ("cc", "scc")
-    if ranked:
-        # "Everyone on r" for ranking ballots: r first, the rest in order.
-        others = [a for a in domain.alternative_list() if a != r]
-        r_ballot: Ballot = tuple([r] + others)
+        far = (abs(target) + abs(r) + 1) * 2 + _BIG_STEP
+        placements = [{-far: s}, {far: s}] if s else [{}]
     else:
-        r_ballot = r
-    visible_honest = h_plus if mechanism.participation == "active" else h_plus + hm
-    budget = int(beta * visible_honest)
-    honest_counts = {r_ballot: visible_honest} if visible_honest else {}
-    candidates = _candidate_ballots(domain, ranked=ranked)
-    for sybil_combo in _bounded_compositions(s, (s,) * len(candidates)):
-        sybil_counts: Dict[Ballot, int] = {}
-        for cand, count in zip(candidates, sybil_combo):
-            if count:
-                sybil_counts[cand] = sybil_counts.get(cand, 0) + count
-        if not _can_reach(
-            mechanism, domain, honest_counts, sybil_counts, budget, target
-        ):
-            return False
-    return True
+        candidates = domain.alternative_list()
+        if mechanism.base in ("cc", "scc") and domain.kind == "categorical":
+            r = (r, *[a for a in candidates if a != r])  # r first, the rest in order
+            candidates = tuple(itertools.permutations(candidates))
+        placements = (
+            {c: k for c, k in zip(candidates, combo) if k}
+            for combo in _bounded_compositions(s, (s,) * len(candidates))
+        )
+    return all(
+        _can_reach(mechanism, domain, {r: visible}, sybil_counts, budget, target)
+        for sybil_counts in placements
+    )
 
 
 def smallest_live_beta(
@@ -520,9 +500,7 @@ def smallest_live_beta(
     max_units: int = 64,
 ) -> Fraction:
     """Least multiple of 1/(visible honest count) at which is_live holds."""
-    domain = domain or DomainSpec.binary()
-    n, s, hm = _shape_counts(shape)
-    units = n - s - hm if mechanism.participation == "active" else n - s
+    units = visible_honest(mechanism, shape)
     for b in range(max_units + 1):
         beta = Fraction(b, units)
         if is_live(mechanism, shape, target, beta, domain):
@@ -684,10 +662,7 @@ def replay_witness(witness: AdversarialWitness, tau: Rational = 0, alpha: Ration
         mech = Mechanism(base="mj", re_tau=tau, participation="active")
         same_tally = rules.build_tally(mech, v).counts == rules.build_tally(mech, v_bar).counts
         same_outcome = rules.apply(mech, v) == rules.apply(mech, v_bar)
-        honest_r = sum(
-            1 for c, b in v_bar.voters
-            if c is not VoterClass.SYBIL and b == v_bar.domain.status_quo
-        )
+        honest_r = v_bar.ballot_counts(HONEST_CLASSES).get(v_bar.domain.status_quo, 0)
         weak_majority_r = 2 * honest_r >= v_bar.n_honest
         return same_tally and same_outcome and weak_majority_r
     if witness.construction == "random-indistinguishable-pair":

@@ -92,6 +92,54 @@ class TestProfileFormat:
         with pytest.raises(Exception):
             profile_from_json(json.dumps(doc))
 
+    CUBE = {"kind": "hypercube", "d": 2, "r": [0, 0]}
+    BIN = {"kind": "binary", "r": "r", "p": "p"}
+
+    @pytest.mark.parametrize(
+        "domain, ballot, extra",
+        [
+            pytest.param({**CUBE, "d": "2"}, [0, 1], {}, id="dimension-string"),
+            pytest.param({**CUBE, "d": True, "r": [0]}, [1], {}, id="dimension-bool"),
+            pytest.param({**CUBE, "r": [0, True]}, [0, 1], {}, id="status-quo-bool"),
+            pytest.param(CUBE, [True, 0], {}, id="coordinate-bool"),
+            pytest.param(CUBE, ["1", 0], {}, id="coordinate-string"),
+            pytest.param(CUBE, [1.0, 0], {}, id="coordinate-float"),
+            pytest.param(CUBE, "01", {}, id="point-string"),
+            pytest.param({"kind": "binary", "r": "r"}, "r", {}, id="missing-field"),
+            pytest.param(
+                {"kind": "categorical", "alternatives": ["r", "a", "b"], "r": "r"},
+                ["r", "a", ["b"]],
+                {},
+                id="ranking-nested",
+            ),
+            pytest.param(
+                {"kind": "categorical", "alternatives": "rab", "r": "r"},
+                "a",
+                {},
+                id="alternatives-string",
+            ),
+            pytest.param({"kind": "interval", "r": [0]}, "1", {}, id="position-list"),
+            pytest.param({"kind": "interval", "r": "0"}, {"x": 1}, {}, id="ballot-object"),
+            pytest.param(["binary"], "r", {}, id="domain-list"),
+            pytest.param(BIN, "r", {"format": "realityvote/profile/v2"}, id="format-tag"),
+            pytest.param(BIN, "r", {"voters": ["honest_active"]}, id="voter-string"),
+            pytest.param(BIN, "r", {"voters": {"class": "sybil"}}, id="voters-object"),
+        ],
+    )
+    def test_malformed_profile_is_input_error(self, domain, ballot, extra, tmp_path, capsys):
+        doc = {"domain": domain, "voters": [{"class": "honest_active", "ballot": ballot}]}
+        doc.update(extra)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["eval", "--profile", str(path), "--mechanism", "mj"]) == 2
+        assert "error (input)" in capsys.readouterr().err
+
+    def test_format_tag_is_optional(self):
+        doc = json.loads(profile_to_json(binary_profile(active="rp")))
+        assert doc["format"] == "realityvote/profile/v1"
+        del doc["format"]
+        assert profile_from_json(json.dumps(doc)) == binary_profile(active="rp")
+
     def test_rationals_survive(self):
         prof = interval_profile(F(1, 3), active=(F(2, 7),))
         text = profile_to_json(prof)

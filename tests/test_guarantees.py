@@ -105,6 +105,30 @@ class TestFeasibility:
         assert feasibility(ARB, sigma, mu).impossibility == (3 * sigma + 2 * mu >= 1)
         assert feasibility(RAND, sigma, mu).impossibility == (3 * sigma + mu >= 1)
 
+    @pytest.mark.parametrize("setting", list(Setting), ids=lambda s: s.value)
+    def test_impossibility_inequalities_on_grid(self, setting):
+        # impossibility is read off the tau window; these are the paper's
+        # inequalities it must agree with, on and around every boundary.
+        impossible = {
+            Setting.ARBITRARY_BINARY: lambda s, m: 3 * s + 2 * m >= 1,
+            Setting.MULTI_ALT_SMJ: lambda s, m: 3 * s + 2 * m >= 1,
+            Setting.RANDOM_NONATOMIC: lambda s, m: 3 * s + m >= 1,
+            Setting.RANDOM_FINITE: lambda s, m: 3 * s + m >= 1,
+            Setting.PROXY_INTERVAL: lambda s, m: s >= F(1, 3),
+        }[setting]
+        grid = [F(k, 24) for k in range(24)]
+        for sigma in grid:
+            for mu in grid:
+                if sigma + mu >= 1:
+                    continue
+                for tau in (F(0), F(1, 5)):
+                    rep = report(setting, sigma, mu, tau)
+                    assert rep.impossibility == impossible(sigma, mu), (sigma, mu)
+                    assert (rep.feasible_tau is None) == rep.impossibility
+                assert feasibility(setting, sigma, mu).impossibility == impossible(
+                    sigma, mu
+                )
+
 
 class TestRequiredTau:
     @pytest.mark.parametrize(

@@ -1,7 +1,9 @@
 import dataclasses
 import importlib
 import pkgutil
+import runpy
 import typing
+from pathlib import Path
 
 import pytest
 
@@ -33,3 +35,24 @@ def test_type_hints_resolve(cls):
     hints = typing.get_type_hints(cls)
     assert set(hints) >= {field.name for field in dataclasses.fields(cls)}
 
+
+
+def _tracing_table():
+    # Run by path: the benchmark directory is not a package.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    return runpy.run_path(str(path))["WRAPPED"]
+
+
+def test_traced_names_exist():
+    # The traced benchmark wraps these by name and stops on a missing one;
+    # a rename should fail here first.
+    missing = [
+        f"{layer}.{name}"
+        for layer, names in _tracing_table().items()
+        for name in names
+        if not callable(getattr(importlib.import_module(f"realityvote.{layer}"), name, None))
+    ]
+    assert not missing
+    verifier = importlib.import_module("realityvote.verifier")
+    assert callable(verifier._cached_range)
+    assert isinstance(verifier._range_cache, dict)

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,9 +13,9 @@ from realityvote.errors import (
     PassiveSybil,
     SybilWithoutBallot,
 )
-from realityvote.population import NonatomicProfile
+from realityvote.population import NonatomicProfile, VoterClass
 
-from conftest import ACTIVE, PASSIVE, SYBIL, binary_profile, interval_profile
+from conftest import ACTIVE, PASSIVE, SYBIL, binary_profile, interval_profile, profiles
 
 
 class TestBuildProfile:
@@ -64,6 +65,33 @@ class TestBuildProfile:
     def test_passive_may_omit_ballot(self):
         p = build_profile(DomainSpec.binary(), [(ACTIVE, "r"), (PASSIVE, None)])
         assert not p.has_full_honest_ballots()
+
+
+class TestCounts:
+    @given(profiles())
+    def test_counts_are_the_voters_counted(self, prof):
+        assert prof.counts == {
+            cls: dict(Counter(b for c, b in prof.voters if c is cls))
+            for cls in VoterClass
+        }
+
+    @given(profiles())
+    def test_fractions_match_direct_scans(self, prof):
+        n = len(prof.voters)
+        sybils = sum(1 for c, _ in prof.voters if c is SYBIL)
+        passives = sum(1 for c, _ in prof.voters if c is PASSIVE)
+        actives = sum(1 for c, _ in prof.voters if c is ACTIVE)
+        assert (prof.n_sybil, prof.n_passive_honest, prof.n_active_honest) == (
+            sybils, passives, actives
+        )
+        assert (prof.n_honest, prof.n_visible) == (n - sybils, actives + sybils)
+        assert prof.sigma == Fraction(sybils, n)
+        assert prof.mu == Fraction(passives, n)
+        assert prof.h_plus == Fraction(actives, n)
+        assert prof.phi == Fraction(actives, n - sybils)
+        assert prof.has_full_honest_ballots() == all(
+            b is not None for c, b in prof.voters if c is not SYBIL
+        )
 
 
 class TestDomainSpec:

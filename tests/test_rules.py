@@ -13,6 +13,9 @@ from realityvote.errors import (
     NonRankingBallot,
 )
 from realityvote.rules import (
+    BASE_RULES,
+    THRESHOLD_RULES,
+    build_tally,
     condorcet_conservative,
     issuewise_majority,
     majority,
@@ -23,7 +26,7 @@ from realityvote.rules import (
     tally_ballots,
 )
 
-from conftest import ACTIVE, PASSIVE, SYBIL, binary_profile, interval_profile
+from conftest import ACTIVE, PASSIVE, SYBIL, binary_profile, interval_profile, profiles
 
 BIN = DomainSpec.binary()
 CAT = DomainSpec.categorical(["r", "p", "p2"], "r")
@@ -214,6 +217,31 @@ class TestApply:
             (Mechanism("md"), interval_profile(4, active=(4, 4))),
         ]:
             assert apply(mech, prof) == prof.domain.r
+
+    @pytest.mark.parametrize(
+        "base", [b for b in BASE_RULES if b not in THRESHOLD_RULES]
+    )
+    def test_threshold_on_rule_without_one(self, base):
+        with pytest.raises(MechanismMismatch, match="takes no threshold"):
+            Mechanism(base, base_tau=Fraction(1, 2))
+        assert Mechanism(base, base_tau=0).describe().startswith(f"{base} ")
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        prof=profiles(),
+        mode=st.sampled_from(["full", "active", "proxy"]),
+        re_tau=st.sampled_from([Fraction(0), Fraction(1, 3)]),
+    )
+    def test_tally_counts_the_visible_voters(self, prof, mode, re_tau):
+        mech = Mechanism("mj", re_tau=re_tau, participation=mode)
+        visible = [b for c, b in prof.voters if mode == "full" or c is not PASSIVE]
+        if None in visible:
+            with pytest.raises(MissingPrivateBallots):
+                build_tally(mech, prof)
+            return
+        electorate = len(visible) if mode == "active" else len(prof.voters)
+        want = tally_ballots(visible, q=re_tau * electorate)
+        assert build_tally(mech, prof) == want
 
 
 # ---------------------------------------------------------------------------

@@ -322,6 +322,19 @@ class TestParamChecks:
         with pytest.raises(DegenerateParams):
             outcome_range(MJ, prof, F(-1, 2))
 
+    @pytest.mark.parametrize(
+        "base, domain, target",
+        [
+            ("mj", DomainSpec.binary(), "p"),
+            ("pl", DomainSpec.categorical(["r", "a", "b"], "r"), "a"),
+            ("imj", DomainSpec.hypercube(2, (0, 0)), (1, 1)),
+            ("md", DomainSpec.interval(0), F(3)),
+        ],
+    )
+    def test_negative_liveness_budget_rejected(self, base, domain, target):
+        with pytest.raises(DegenerateParams):
+            is_live(Mechanism(base), (3, F(1, 3), 0), target, F(-1, 2), domain)
+
 
 class TestWorkLimit:
     RANKINGS = ["a>b>r", "r>a>b", "b>r>a", "a>r>b"]
@@ -369,9 +382,9 @@ def direct_outcome_range(mechanism, profile, gamma):
             c is VoterClass.HONEST_PASSIVE and mechanism.participation == "active"
         )
     ]
-    sybils = list(profile.sybil_ballots())
+    sybils = [b for c, b in profile.voters if c is VoterClass.SYBIL]
     alternatives = profile.domain.alternative_list()
-    if any(isinstance(b, tuple) for b in profile.all_ballots()) and (
+    if any(isinstance(b, tuple) for _, b in profile.voters) and (
         profile.domain.kind == "categorical"
     ):
         alternatives = list(itertools.permutations(profile.domain.alternatives))
@@ -546,9 +559,9 @@ class TestAgainstDirectEnumeration:
                                 direct_is_live(mech, shape, target, beta, domain)
                             ), (mech, shape, target, beta)
 
-    def test_interval_liveness_three_sybil_placements_suffice(self):
-        # is_live parks every sybil at one of three places; sybils spread
-        # over a probe grid never block a target those three let through.
+    def test_interval_liveness_two_sybil_placements_suffice(self):
+        # is_live parks every sybil far below or far above r; sybils spread
+        # over a probe grid never block a target those two let through.
         import itertools
 
         line = DomainSpec.interval(0)
@@ -568,7 +581,7 @@ class TestAgainstDirectEnumeration:
                         shape = (n, F(s, n), F(hm, n))
                         honest = [(ACTIVE, 0)] * hp + [(PASSIVE, 0)] * hm
                         visible = hp if mech.participation == "active" else hp + hm
-                        for target in (F(-3), F(2), F(5)):
+                        for target in (F(-3), F(0), F(1, 2), F(2), F(5)):
                             for b in range(4):
                                 beta = F(b, visible)
                                 probed = all(
@@ -613,7 +626,7 @@ class TestAgainstDirectEnumeration:
             honest = [
                 b for c, b in prof.voters if c is not VoterClass.SYBIL
             ]
-            sybils = list(prof.sybil_ballots())
+            sybils = [b for c, b in prof.voters if c is VoterClass.SYBIL]
             probe = [F(k, 2) for k in range(-40, 41)]
             achieved = set()
             h = len(honest)
