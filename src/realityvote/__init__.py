@@ -5,7 +5,7 @@ Three mutually cross-checking layers: mechanism evaluation (``rules``,
 brute-force / Monte Carlo verification (``verifier``, ``montecarlo``).
 """
 
-from .betweenness import BetweenRegion, between, between_union, contains
+from .betweenness import BetweenRegion, between, between_union
 from .guarantees import (
     GuaranteeReport,
     Setting,
@@ -71,7 +71,6 @@ __all__ = [
     "between",
     "between_union",
     "build_profile",
-    "contains",
     "delegate",
     "feasibility",
     "is_live",

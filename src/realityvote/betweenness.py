@@ -106,8 +106,3 @@ class BetweenUnion:
 
     def contains(self, a: Ballot) -> bool:
         return any(part.contains(a) for part in self.parts)
-
-
-def contains(region, a: Ballot) -> bool:
-    """Exact membership test for a region or union returned above."""
-    return region.contains(a)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -87,6 +87,17 @@ def _trial_seed(seed: int, trial: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=seed, spawn_key=(trial,))
 
 
+def _supporter_draws(
+    supporters: int, honest: int, n_plus: int, trials: int, seed: int
+) -> Iterator[int]:
+    """Per trial, how many proposal supporters a uniform draw of n_plus
+    active voters from the honest ones hits.  Every rule is anonymous, so
+    this count is all of a binary trial's active set that matters."""
+    for trial in range(trials):
+        rng = np.random.Generator(np.random.Philox(_trial_seed(seed, trial)))
+        yield int(rng.hypergeometric(ngood=supporters, nbad=honest - supporters, nsample=n_plus))
+
+
 def run_safety_whp(exp: Experiment) -> TrialStats:
     """Empirical rate of safety violations under random participation,
     compared against the Hoeffding-style tail bound."""
@@ -109,13 +120,7 @@ def run_safety_whp(exp: Experiment) -> TrialStats:
         bound = 1.0
 
     violations = 0
-    for trial in range(exp.trials):
-        rng = np.random.Generator(np.random.Philox(_trial_seed(exp.seed, trial)))
-        active_p = int(
-            rng.hypergeometric(ngood=honest_p, nbad=h - honest_p, nsample=exp.n_plus)
-        )
-        # Every rule is anonymous, so the uniform draw of the active set is
-        # fully captured by how many proposal supporters it hits.
+    for active_p in _supporter_draws(honest_p, h, exp.n_plus, exp.trials, exp.seed):
         trial_profile = verifier._binary_profile(
             domain, active_p, exp.n_plus, honest_p - active_p, h - exp.n_plus, sybil_p, s
         )
@@ -196,14 +201,10 @@ def hoeffding_diagnostic(
     psi = Fraction(honest_p, honest)
     cutoff = (psi + epsilon) * n_plus
 
-    overshoots = 0
-    for trial in range(trials):
-        rng = np.random.Generator(np.random.Philox(_trial_seed(seed, trial)))
-        active_p = int(
-            rng.hypergeometric(ngood=honest_p, nbad=honest - honest_p, nsample=n_plus)
-        )
-        if active_p >= cutoff:
-            overshoots += 1
+    overshoots = sum(
+        active_p >= cutoff
+        for active_p in _supporter_draws(honest_p, honest, n_plus, trials, seed)
+    )
     bound = math.exp(-2 * float(epsilon) ** 2 * n_plus)
     return TrialStats(
         violation_count=overshoots,

@@ -103,12 +103,12 @@ class DomainSpec:
 
     @staticmethod
     def hypercube(dimension: int, status_quo_point: Sequence[int]) -> "DomainSpec":
-        point = tuple(int(b) for b in status_quo_point)
-        if dimension < 1 or len(point) != dimension:
-            raise InvalidBallot("status quo point must have exactly d coordinates")
-        if any(b not in (0, 1) for b in point):
-            raise InvalidBallot("hypercube coordinates are 0/1")
-        return DomainSpec(kind="hypercube", dimension=dimension, status_quo_point=point)
+        if type(dimension) is not int or dimension < 1:
+            raise InvalidBallot(f"the dimension is an integer >= 1, not {dimension!r}")
+        point = tuple(status_quo_point)
+        domain = DomainSpec(kind="hypercube", dimension=dimension, status_quo_point=point)
+        domain.validate_ballot(point)
+        return domain
 
     @staticmethod
     def interval(status_quo_position: Rational) -> "DomainSpec":
@@ -161,12 +161,11 @@ class DomainSpec:
                 raise InvalidBallot(f"unknown alternative {ballot!r}")
             return ballot
         if self.kind == "hypercube":
-            if not isinstance(ballot, tuple) or len(ballot) != self.dimension:
-                raise InvalidBallot("hypercube ballot must be a d-tuple of 0/1")
-            point = tuple(int(b) for b in ballot)
-            if any(b not in (0, 1) for b in point):
-                raise InvalidBallot("hypercube coordinates are 0/1")
-            return point
+            # `type(b) is int` turns away bool and every other number type
+            ok = isinstance(ballot, tuple) and len(ballot) == self.dimension
+            if not (ok and all(type(b) is int and b in (0, 1) for b in ballot)):
+                raise InvalidBallot(f"hypercube points are d-tuples of 0/1 ints, not {ballot!r}")
+            return ballot
         # interval
         try:
             return as_fraction(ballot)
@@ -296,7 +295,8 @@ def build_profile(
 
 
 def project_to_pair(profile: Profile, x: Rational, y: Rational) -> Profile:
-    """Project an interval profile onto the two-point domain {x, y}, x < y.
+    """Project an interval profile onto the two-point domain {x, y}, the
+    points distinct and in either order.
 
     Each voter votes for the closer of the two points; an exact tie goes to
     x, which plays the status-quo role in the output.  Voter classes are
@@ -305,8 +305,8 @@ def project_to_pair(profile: Profile, x: Rational, y: Rational) -> Profile:
     if profile.domain.kind != "interval":
         raise InvalidBallot("projection is defined on interval profiles")
     x, y = as_fraction(x), as_fraction(y)
-    if not x < y:
-        raise InvalidBallot("projection needs x < y")
+    if x == y:
+        raise InvalidBallot("projection needs two distinct points")
     x_label, y_label = format_rational(x), format_rational(y)
     out_domain = DomainSpec.binary(status_quo=x_label, proposal=y_label)
     projected = []

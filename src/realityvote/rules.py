@@ -28,21 +28,9 @@ from .errors import (
 from .population import Ballot, DomainSpec, Profile, Rational, VoterClass, as_fraction
 
 PARTICIPATION_MODES = ("full", "active", "proxy")
-BASE_RULES = ("mj", "pl", "smj", "cc", "scc", "imj", "md", "som")
 THRESHOLD_RULES = ("smj", "scc", "som")  # the base rules that take a tau
 _EVERY_CLASS = tuple(VoterClass)
 _ACTIVE_CLASSES = (VoterClass.HONEST_ACTIVE, VoterClass.SYBIL)
-
-_DOMAIN_FOR_BASE = {
-    "mj": ("binary",),
-    "pl": ("categorical",),
-    "smj": ("binary", "categorical"),
-    "cc": ("categorical",),
-    "scc": ("categorical",),
-    "imj": ("hypercube",),
-    "md": ("interval",),
-    "som": ("interval",),
-}
 
 
 @dataclass(frozen=True)
@@ -367,27 +355,35 @@ def build_tally(mechanism: Mechanism, profile: Profile) -> Tally:
     return Tally(counts=counts, q=virtual_mass(mechanism, profile))
 
 
-def evaluate_tally(mechanism: Mechanism, tally: Tally, domain: DomainSpec) -> Ballot:
-    """Dispatch a prepared tally to the base rule (no participation logic)."""
-    if domain.kind not in _DOMAIN_FOR_BASE[mechanism.base]:
+#: Base rule -> (its evaluator on (mechanism, tally, domain), the domain
+#: kinds it applies to).  A rule outside THRESHOLD_RULES has base_tau 0, so
+#: cc is scc at tau 0.
+_RULES: Dict[str, Tuple[Callable[..., Ballot], Tuple[str, ...]]] = {
+    "mj": (lambda m, t, d: majority(t, d), ("binary",)),
+    "pl": (lambda m, t, d: plurality(t, d), ("categorical",)),
+    "smj": (lambda m, t, d: supermajority(m.base_tau, t, d), ("binary", "categorical")),
+    "cc": (lambda m, t, d: condorcet_conservative(m.base_tau, t, d), ("categorical",)),
+    "scc": (lambda m, t, d: condorcet_conservative(m.base_tau, t, d), ("categorical",)),
+    "imj": (lambda m, t, d: issuewise_majority(t, d), ("hypercube",)),
+    "md": (lambda m, t, d: median(t, d), ("interval",)),
+    "som": (lambda m, t, d: suppress_outer_median(m.base_tau, t, d), ("interval",)),
+}
+BASE_RULES = tuple(_RULES)
+
+
+def _rule(mechanism: Mechanism, domain: DomainSpec) -> Callable[..., Ballot]:
+    """The base rule's evaluator; MechanismMismatch off its domains."""
+    rule, kinds = _RULES[mechanism.base]
+    if domain.kind not in kinds:
         raise MechanismMismatch(
             f"base rule {mechanism.base!r} does not apply to {domain.kind} domains"
         )
-    if mechanism.base == "mj":
-        return majority(tally, domain)
-    if mechanism.base == "pl":
-        return plurality(tally, domain)
-    if mechanism.base == "smj":
-        return supermajority(mechanism.base_tau, tally, domain)
-    if mechanism.base == "cc":
-        return condorcet_conservative(Fraction(0), tally, domain)
-    if mechanism.base == "scc":
-        return condorcet_conservative(mechanism.base_tau, tally, domain)
-    if mechanism.base == "imj":
-        return issuewise_majority(tally, domain)
-    if mechanism.base == "md":
-        return median(tally, domain)
-    return suppress_outer_median(mechanism.base_tau, tally, domain)
+    return rule
+
+
+def evaluate_tally(mechanism: Mechanism, tally: Tally, domain: DomainSpec) -> Ballot:
+    """Dispatch a prepared tally to the base rule (no participation logic)."""
+    return _rule(mechanism, domain)(mechanism, tally, domain)
 
 
 def apply(mechanism: Mechanism, profile: Profile) -> Ballot:
@@ -399,12 +395,9 @@ def apply(mechanism: Mechanism, profile: Profile) -> Ballot:
     the rule set.
     """
     domain = profile.domain
-    if domain.kind not in _DOMAIN_FOR_BASE[mechanism.base]:
-        raise MechanismMismatch(
-            f"base rule {mechanism.base!r} does not apply to {domain.kind} domains"
-        )
+    _rule(mechanism, domain)  # a mismatch is reported before any tally is built
     if mechanism.participation == "proxy":
-        if domain.kind != "interval" or mechanism.base != "md":
+        if mechanism.base != "md":
             raise MechanismMismatch("proxy participation is median-on-interval only")
         from . import proxy  # local import; proxy builds on this module
 

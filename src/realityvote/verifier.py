@@ -245,6 +245,7 @@ def _interval_range(
     sentinel block plus the sybils, so a prefix mass is two bisections.
     """
     r = domain.status_quo_position
+    rules._rule(mechanism, domain)  # MechanismMismatch unless md or som
     positions = [*honest_counts, *sybil_counts, r]
     sentinel = max(abs(p) for p in positions) + _BIG_STEP
     scale = rules.position_scale([*positions, sentinel])
@@ -294,11 +295,7 @@ def _index_outcome(
         raise EmptyElectorate("median of an empty electorate")
     if mechanism.base == "md":
         return rules.median_at(xs, prefix, total, r)
-    if mechanism.base == "som":
-        return rules.suppressed_median_at(mechanism.base_tau, xs, prefix, total, r)
-    raise MechanismMismatch(
-        f"base rule {mechanism.base!r} does not apply to interval domains"
-    )
+    return rules.suppressed_median_at(mechanism.base_tau, xs, prefix, total, r)
 
 
 def outcome_range(
@@ -682,26 +679,15 @@ def replay_witness(witness: AdversarialWitness, tau: Rational = 0, alpha: Ration
 # Median-to-majority reduction check.
 
 
-def _mirror_interval_profile(profile: Profile) -> Profile:
-    r = profile.domain.status_quo_position
-    return build_profile(
-        DomainSpec.interval(r),
-        [
-            (c, None if b is None else 2 * r - as_fraction(b))
-            for c, b in profile.voters
-        ],
-    )
-
-
 def reduction_check(profile: Profile, tau: Rational, alpha: Rational) -> bool:
     """If the RE median mechanism breaks alpha-safety on this instance, the
     projected two-point contest must break alpha-safety of the RE majority
     mechanism as well; returns that implication's truth (vacuously true when
-    the median mechanism stays safe)."""
+    the median mechanism stays safe).  The contest is between z and the
+    bound of the safe region on z's side, which keeps the status-quo role."""
     tau, alpha = as_fraction(tau), as_fraction(alpha)
     mech = Mechanism(base="md", re_tau=tau, participation="active")
     base = Mechanism(base="md")
-    r = profile.domain.status_quo_position
 
     z = rules.apply(mech, profile)
     base_range = _cached_range(base, honest_only(profile), alpha)
@@ -709,12 +695,8 @@ def reduction_check(profile: Profile, tau: Rational, alpha: Rational) -> bool:
     if region.contains(z):
         return True  # no violation on the interval side
 
-    if region.hi is not None and z > region.hi:
-        work, a, target = profile, region.hi, z
-    else:
-        work = _mirror_interval_profile(profile)
-        a, target = 2 * r - region.lo, 2 * r - z
-    projected = project_to_pair(work, a, target)
+    bound = region.hi if region.hi is not None and z > region.hi else region.lo
+    projected = project_to_pair(profile, bound, z)
     bin_mech = Mechanism(base="mj", re_tau=tau, participation="active")
     bin_base = Mechanism(base="mj")
     return not is_safe(bin_mech, bin_base, projected, alpha)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from realityvote import DomainSpec, between, between_union, contains
+from realityvote import DomainSpec, between, between_union
 from realityvote.errors import EmptyTargetSet
 
 CAT = DomainSpec.categorical(["r", "a", "b", "q"], "r")
@@ -13,14 +13,14 @@ LINE = DomainSpec.interval(0)
 
 
 def cube_members(region):
-    return {p for p in CUBE.alternative_list() if contains(region, p)}
+    return {p for p in CUBE.alternative_list() if region.contains(p)}
 
 
 class TestBetween:
     def test_categorical_pair(self):
         region = between(CAT, "a", "b")
-        assert contains(region, "a") and contains(region, "b")
-        assert not contains(region, "r")
+        assert region.contains("a") and region.contains("b")
+        assert not region.contains("r")
 
     def test_hypercube_box(self):
         region = between(CUBE, (0, 1, 0), (1, 1, 1))
@@ -39,17 +39,17 @@ class TestBetweenUnion:
     def test_interval_hull(self):
         region = between_union(DomainSpec.interval(4), 4, [7, 2])
         assert (region.lo, region.hi) == (2, 7)
-        assert contains(region, 7) and contains(region, 2)
-        assert not contains(region, Fraction(15, 2))
+        assert region.contains(7) and region.contains(2)
+        assert not region.contains(Fraction(15, 2))
 
     def test_two_element_categorical(self):
         region = between_union(CAT, "r", ["a"])
-        assert contains(region, "r") and contains(region, "a")
-        assert not contains(region, "q")
+        assert region.contains("r") and region.contains("a")
+        assert not region.contains("q")
 
     def test_hypercube_union(self):
         region = between_union(CUBE, (0, 0, 0), [(0, 1, 1)])
-        hits = {p for p in CUBE.alternative_list() if contains(region, p)}
+        hits = {p for p in CUBE.alternative_list() if region.contains(p)}
         assert hits == {(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1)}
 
     def test_empty_targets(self):
@@ -58,21 +58,21 @@ class TestBetweenUnion:
 
     def test_box_union_is_not_single_box(self):
         region = between_union(CUBE, (0, 0, 0), [(1, 1, 0), (0, 0, 1)])
-        assert contains(region, (1, 0, 0))
-        assert contains(region, (0, 0, 1))
-        assert not contains(region, (1, 0, 1))
+        assert region.contains((1, 0, 0))
+        assert region.contains((0, 0, 1))
+        assert not region.contains((1, 0, 1))
 
 
 class TestMembership:
     def test_boundary_inclusion(self):
-        assert contains(between(LINE, 2, 7), 7)
+        assert between(LINE, 2, 7).contains(7)
 
     def test_non_member(self):
-        assert not contains(between(CAT, "r", "a"), "q")
+        assert not between(CAT, "r", "a").contains("q")
 
     def test_box_coordinate_check(self):
         region = between(CUBE, (0, 1, 0), (1, 1, 1))
-        assert not contains(region, (1, 0, 0))
+        assert not region.contains((1, 0, 0))
 
 
 cube_points = st.tuples(
@@ -85,7 +85,7 @@ class TestProperties:
     def test_symmetry_and_generators(self, x, y):
         a, b = between(CUBE, x, y), between(CUBE, y, x)
         assert cube_members(a) == cube_members(b)
-        assert contains(a, x) and contains(a, y)
+        assert a.contains(x) and a.contains(y)
 
     @given(st.integers(-50, 50), st.integers(-50, 50))
     def test_interval_is_min_max(self, x, y):

@@ -168,6 +168,15 @@ class TestEval:
     def test_domain_mismatch_exit(self, partial_pop_file):
         assert main(["eval", "--profile", partial_pop_file, "--mechanism", "md"]) == 3
 
+    def test_domain_mismatch_before_missing_ballot(self, tmp_path):
+        voters = [
+            {"class": "honest_active", "ballot": "r"},
+            {"class": "honest_passive", "ballot": None},
+        ]
+        path = tmp_path / "both.json"
+        path.write_text(json.dumps({"domain": PARTIAL_POP["domain"], "voters": voters}))
+        assert main(["eval", "--profile", str(path), "--mechanism", "md"]) == 3
+
 
 class TestFrontier:
     def test_single_point(self, capsys):

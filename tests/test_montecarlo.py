@@ -1,8 +1,9 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from realityvote import Mechanism
+from realityvote import Mechanism, is_safe
 from realityvote.errors import DegenerateParams, SampleTooLarge
 from realityvote.montecarlo import (
     Experiment,
@@ -164,3 +165,39 @@ class TestHoeffdingDiagnostic:
         a = hoeffding_diagnostic(self.TEMPLATE, 25, F(1, 10), trials=100, seed=4)
         b = hoeffding_diagnostic(self.TEMPLATE, 25, F(1, 10), trials=100, seed=4)
         assert a == b
+
+
+class TestBinaryTrialDraw:
+    """Both binary experiments read trial t's active proposal supporters from
+    one hypergeometric draw on the Philox substream (seed, t)."""
+
+    @staticmethod
+    def reference_draws(supporters, honest, n_plus, trials, seed):
+        return [
+            int(
+                np.random.Generator(
+                    np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(t,)))
+                ).hypergeometric(supporters, honest - supporters, n_plus)
+            )
+            for t in range(trials)
+        ]
+
+    def test_safety_trials(self):
+        exp = whp_experiment(tau=F(1, 5), trials=60)
+        violations = 0
+        for k in self.reference_draws(6, 20, exp.n_plus, exp.trials, exp.seed):
+            trial = binary_profile(
+                active="p" * k + "r" * (exp.n_plus - k),
+                passive="p" * (6 - k) + "r" * (14 - exp.n_plus + k),
+                sybil="p" * 5,
+            )
+            violations += not is_safe(exp.mechanism, exp.base, trial, exp.alpha_prime)
+        assert 0 < violations < exp.trials
+        assert run_safety_whp(exp).violation_count == violations
+
+    def test_hoeffding_trials(self):
+        template = binary_profile(active="p" * 30 + "r" * 50)
+        draws = self.reference_draws(30, 80, 20, 300, 17)
+        overshoots = sum(k >= (F(30, 80) + F(1, 10)) * 20 for k in draws)
+        assert 0 < overshoots < 300
+        assert hoeffding_diagnostic(template, 20, F(1, 10), 300, 17).violation_count == overshoots

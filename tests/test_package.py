@@ -36,6 +36,10 @@ def test_type_hints_resolve(cls):
     assert set(hints) >= {field.name for field in dataclasses.fields(cls)}
 
 
+def test_every_export_resolves():
+    # A stale name in __all__ only fails at a caller's `from realityvote import *`.
+    assert [name for name in realityvote.__all__ if not hasattr(realityvote, name)] == []
+
 
 def _tracing_table():
     # Run by path: the benchmark directory is not a package.

@@ -112,6 +112,20 @@ class TestDomainSpec:
         with pytest.raises(InvalidBallot):
             domain.validate_ballot(("a", "b"))
 
+    @pytest.mark.parametrize("point", [("1", True), (1.0, 0), (True, 0)])
+    def test_hypercube_points_are_not_coerced(self, point):
+        with pytest.raises(InvalidBallot):
+            build_profile(DomainSpec.hypercube(2, (0, 0)), [(ACTIVE, point)])
+        with pytest.raises(InvalidBallot):
+            DomainSpec.hypercube(2, point)
+
+    def test_hypercube_dimension_is_not_coerced(self):
+        with pytest.raises(InvalidBallot):
+            DomainSpec.hypercube(True, (0,))
+
+
+POSITIONS = st.fractions(min_value=-6, max_value=6, max_denominator=3)
+
 
 class TestProjectToPair:
     def test_closer_point(self):
@@ -136,6 +150,45 @@ class TestProjectToPair:
     def test_requires_order(self, delegation_population):
         with pytest.raises(InvalidBallot):
             project_to_pair(delegation_population, 6, 6)
+
+    def test_points_in_either_order(self):
+        # The first point keeps the status-quo role and wins exact ties.
+        prof = interval_profile(0, active=(2, 3, 4, Fraction(9, 2), 5, 7))
+        out = project_to_pair(prof, 6, 3)
+        assert (out.domain.status_quo, out.domain.proposal) == ("6", "3")
+        assert [b for _, b in out.voters] == ["3", "3", "3", "6", "6", "6"]
+
+    @given(
+        r=POSITIONS,
+        voters=st.lists(
+            st.one_of(
+                st.tuples(st.sampled_from([ACTIVE, SYBIL]), POSITIONS),
+                st.tuples(st.just(PASSIVE), st.one_of(st.none(), POSITIONS)),
+            ),
+            max_size=11,
+        ),
+        first=POSITIONS,
+        pair=st.tuples(POSITIONS, POSITIONS).filter(lambda ab: ab[0] != ab[1]),
+    )
+    def test_projection_commutes_with_the_mirror(self, r, voters, first, pair):
+        # Projecting onto (a, t) counts each class like projecting the
+        # profile mirrored around r onto (2r - a, 2r - t).
+        prof = build_profile(DomainSpec.interval(r), [(ACTIVE, first), *voters])
+        mirrored = build_profile(
+            prof.domain, [(c, None if b is None else 2 * r - b) for c, b in prof.voters]
+        )
+        a, t = pair
+
+        def role_counts(projected):
+            sq, prop = projected.domain.status_quo, projected.domain.proposal
+            return {
+                cls: (counts.get(sq, 0), counts.get(prop, 0), counts.get(None, 0))
+                for cls, counts in projected.counts.items()
+            }
+
+        assert role_counts(project_to_pair(prof, a, t)) == role_counts(
+            project_to_pair(mirrored, 2 * r - a, 2 * r - t)
+        )
 
     @given(st.lists(st.sampled_from([0, 10]), min_size=1, max_size=12))
     def test_idempotent_on_two_point_profiles(self, xs):

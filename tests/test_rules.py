@@ -17,6 +17,7 @@ from realityvote.rules import (
     THRESHOLD_RULES,
     build_tally,
     condorcet_conservative,
+    evaluate_tally,
     issuewise_majority,
     majority,
     median,
@@ -189,6 +190,25 @@ class TestSuppressedMedian:
         assert apply(plain, prof) == 9
 
 
+# The domain kinds each base rule is defined on.
+RULE_DOMAINS = {
+    "mj": {"binary"},
+    "pl": {"categorical"},
+    "smj": {"binary", "categorical"},
+    "cc": {"categorical"},
+    "scc": {"categorical"},
+    "imj": {"hypercube"},
+    "md": {"interval"},
+    "som": {"interval"},
+}
+ONE_PROFILE_PER_KIND = {
+    "binary": binary_profile(active="rp"),
+    "categorical": build_profile(CAT, [(ACTIVE, ("p", "r", "p2")), (ACTIVE, ("r", "p2", "p"))]),
+    "hypercube": build_profile(DomainSpec.hypercube(2, (0, 1)), [(ACTIVE, (1, 0))]),
+    "interval": interval_profile(4, active=(5, 3)),
+}
+
+
 class TestApply:
     def test_re_two_thirds_blocks(self, example_partial):
         mech = Mechanism("mj", re_tau=Fraction(2, 3), participation="active")
@@ -209,6 +229,28 @@ class TestApply:
         prof = build_profile(BIN, [(ACTIVE, "r"), (PASSIVE, None)])
         with pytest.raises(MissingPrivateBallots):
             apply(Mechanism("mj"), prof)
+
+    def test_domain_mismatch_is_reported_first(self):
+        # Off its domain and missing a private ballot: the rule is the error.
+        prof = build_profile(BIN, [(ACTIVE, "r"), (PASSIVE, None)])
+        with pytest.raises(MechanismMismatch):
+            apply(Mechanism("md"), prof)
+
+    @pytest.mark.parametrize("kind", sorted(ONE_PROFILE_PER_KIND))
+    @pytest.mark.parametrize("base", BASE_RULES)
+    def test_rule_applies_exactly_on_its_domains(self, base, kind):
+        prof = ONE_PROFILE_PER_KIND[kind]
+        mech = Mechanism(base, participation="active")
+        tally = build_tally(mech, prof)
+        for evaluate in (
+            lambda: apply(mech, prof),
+            lambda: evaluate_tally(mech, tally, prof.domain),
+        ):
+            if kind in RULE_DOMAINS[base]:
+                evaluate()
+            else:
+                with pytest.raises(MechanismMismatch):
+                    evaluate()
 
     def test_status_quo_default(self):
         for mech, prof in [

@@ -24,6 +24,7 @@ from realityvote import (
 from realityvote.errors import (
     BudgetExceeded,
     DegenerateParams,
+    MechanismMismatch,
     MissingPrivateBallots,
     RegimeMismatch,
     UnrealizableShape,
@@ -301,7 +302,19 @@ class TestReductionCheck:
         )
         assert reduction_check(prof, 0, 0)
 
-    def test_random_instances(self):
+    def test_random_instances(self, monkeypatch):
+        from realityvote import verifier
+
+        # Record which side of r each violation's contest lies on: the
+        # projection is onto (bound of the safe region, z).
+        sides = set()
+        project = verifier.project_to_pair
+
+        def spy(profile, bound, z):
+            sides.add("above" if z > bound else "below")
+            return project(profile, bound, z)
+
+        monkeypatch.setattr(verifier, "project_to_pair", spy)
         rng = random.Random(23)
         for _ in range(500):
             n = rng.randint(1, 12)
@@ -314,9 +327,17 @@ class TestReductionCheck:
             tau = rng.choice([F(0), F(1, 4), F(1, 3), F(1, 2), F(3, 4)])
             alpha = rng.choice([F(0), F(1, 6), F(1, 4), F(1, 3), F(1, 2)])
             assert reduction_check(prof, tau, alpha)
+        assert sides == {"above", "below"}
 
 
 class TestParamChecks:
+    def test_interval_search_runs_interval_rules_only(self):
+        prof = interval_profile(0, active=(1, 2))
+        with pytest.raises(MechanismMismatch):
+            outcome_range(Mechanism("mj"), prof, F(1, 2))
+        with pytest.raises(MechanismMismatch):
+            is_live(Mechanism("smj"), (3, 0, 0), 1, F(1, 3), DomainSpec.interval(0))
+
     def test_negative_budget_rejected(self):
         prof = binary_profile(active="rp")
         with pytest.raises(DegenerateParams):
