@@ -75,11 +75,11 @@ def between(domain: DomainSpec, x: Ballot, y: Ballot) -> BetweenRegion:
 def between_union(domain: DomainSpec, x: Ballot, targets: Iterable[Ballot]) -> BetweenRegion:
     """B(x; Y) = union of B(x, y) over y in Y.
 
-    On the line this equals the hull [min(x, min Y), max(x, max Y)] since
-    every B(x, y) contains x.  On hypercubes the union of boxes is kept as
-    a tuple of boxes folded into membership via ``union_contains``; here we
-    return the discrete/hull region directly where a single region suffices
-    and a ``BetweenUnion`` otherwise.
+    Discrete domains return the member set {x} | Y.  On the line this is
+    the hull [min(x, min Y), max(x, max Y)], since every B(x, y) contains
+    x.  A union of hypercube boxes is not a box in general, so hypercubes
+    return a ``BetweenUnion`` of the boxes B(x, y), which contains a point
+    when any box does.
     """
     targets = list(targets)
     if not targets:

@@ -60,10 +60,7 @@ def parse_mechanism(spec: str) -> Mechanism:
         if token.startswith("re:"):
             re_tau = as_fraction(Fraction(token[3:]))
         elif token.startswith("mode:"):
-            raw_mode = token[5:]
-            if raw_mode not in ("full", "active", "proxy"):
-                raise MechanismMismatch(f"unknown mode {raw_mode!r}")
-            mode = raw_mode
+            mode = token[5:]  # Mechanism checks it
         else:
             raise MechanismMismatch(f"unrecognized mechanism token {token!r}")
     return Mechanism(base=name, base_tau=base_tau, re_tau=re_tau, participation=mode)

@@ -10,6 +10,7 @@ are exact rationals; nothing in this package tallies with floats.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -112,16 +113,13 @@ class DomainSpec:
 
     @staticmethod
     def interval(status_quo_position: Rational) -> "DomainSpec":
-        return DomainSpec(
-            kind="interval", status_quo_position=as_fraction(status_quo_position)
-        )
+        position = DomainSpec(kind="interval").validate_ballot(status_quo_position)
+        return DomainSpec(kind="interval", status_quo_position=position)
 
     @property
     def r(self) -> Ballot:
         """The status quo, in ballot representation."""
-        if self.kind == "binary":
-            return self.status_quo
-        if self.kind == "categorical":
+        if self.kind in ("binary", "categorical"):
             return self.status_quo
         if self.kind == "hypercube":
             return self.status_quo_point
@@ -133,15 +131,8 @@ class DomainSpec:
             return (self.status_quo, self.proposal)
         if self.kind == "categorical":
             return self.alternatives
-        if self.kind == "hypercube":
-            points = []
-            for index in range(2 ** self.dimension):
-                bits = tuple(
-                    (index >> (self.dimension - 1 - j)) & 1
-                    for j in range(self.dimension)
-                )
-                points.append(bits)
-            return tuple(points)
+        if self.kind == "hypercube":  # first coordinate most significant
+            return tuple(itertools.product((0, 1), repeat=self.dimension))
         raise InvalidBallot("the interval domain has no finite alternative list")
 
     def validate_ballot(self, ballot: Ballot, allow_ranking: bool = True) -> Ballot:
@@ -166,11 +157,12 @@ class DomainSpec:
             if not (ok and all(type(b) is int and b in (0, 1) for b in ballot)):
                 raise InvalidBallot(f"hypercube points are d-tuples of 0/1 ints, not {ballot!r}")
             return ballot
-        # interval
-        try:
-            return as_fraction(ballot)
-        except TypeError as exc:
-            raise InvalidBallot(str(exc)) from None
+        # interval: `type(ballot) is int` turns away bool, as for hypercube points
+        if isinstance(ballot, Fraction):
+            return ballot
+        if type(ballot) is int:
+            return Fraction(ballot)
+        raise InvalidBallot(f"positions are Fractions or ints, not {ballot!r}")
 
 
 Voter = Tuple[VoterClass, Optional[Ballot]]

@@ -215,9 +215,7 @@ def supermajority(tau: Fraction, tally: Tally, domain: DomainSpec) -> Ballot:
     total = tally.cast_total + tally.q
     threshold = (Fraction(1, 2) + tau) * total
     for alternative in domain.alternative_list():
-        if alternative == r:
-            continue
-        if tally.mass(alternative) > threshold:
+        if alternative != r and tally.mass(alternative) > threshold:
             return alternative
     return r
 
@@ -236,9 +234,7 @@ def plurality(tally: Tally, domain: DomainSpec) -> Ballot:
     top = max(scores.values())
     if scores[r] == top:
         return r
-    for alternative in domain.alternative_list():
-        if scores[alternative] == top:
-            return alternative
+    return next(a for a, score in scores.items() if score == top)  # in domain order
 
 
 def condorcet_conservative(tau: Fraction, tally: Tally, domain: DomainSpec) -> Ballot:
@@ -272,9 +268,7 @@ def condorcet_conservative(tau: Fraction, tally: Tally, domain: DomainSpec) -> B
         return support > (Fraction(1, 2) + tau) * contest_total
 
     for candidate in alternatives:
-        if candidate == r:
-            continue
-        if all(beats(candidate, other) for other in alternatives if other != candidate):
+        if candidate != r and all(beats(candidate, b) for b in alternatives if b != candidate):
             return candidate
     return r
 

@@ -7,18 +7,18 @@ instances; the closed-form module is validated against these results, not
 the other way around.  Enumeration is over ballot-count multisets, which is
 exhaustive because every implemented rule is anonymous.
 
-One targeted search (``_can_reach``) on honest and sybil ballot counts
-answers every reachability question: is this alternative the outcome of
-some modification of at most the budget's honest voters?  On finite
-domains the outcome range is the set of alternatives, status quo included,
-for which it answers yes; liveness asks it for the target against every
-sybil placement.  Removals are enumerated exhaustively over the honest
-ballot types; added voters cast only the target's support ballots
-(``_support_ballots``): the target itself, one target-first ranking, or,
-for the status quo under ranking ballots, every r-first ranking.  Swapping
-any added ballot for a support ballot never hurts the target, so the
-restriction loses nothing.  On the line the range is an interval, found
-from sentinel movers (``_interval_range``).
+One least-cost search (``_least_cost``) on honest and sybil ballot counts
+answers every reachability question: how many additions does it take to
+make this alternative the outcome?  Reachable sets grow with the budget,
+so that one number answers every budget: finite outcome ranges, the least
+safe alpha of a profile and the liveness budget all read it.  Removals are
+enumerated exhaustively over the honest ballot types; added voters cast
+only the target's support ballots (``_support_ballots``): the target
+itself, one target-first ranking, or, for the status quo under ranking
+ballots, every r-first ranking.  Swapping any added ballot for a support
+ballot never hurts the target, so the restriction loses nothing.  On the
+line the range is an interval, found from sentinel movers
+(``_interval_range``), and the least cost is a bisection over the budget.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from . import rules
-from .betweenness import BetweenRegion, between_union
+from .betweenness import BetweenRegion, between, between_union
 from .errors import (
     BudgetExceeded,
     DegenerateParams,
@@ -166,48 +166,52 @@ def _support_ballots(
     return tuple((target,) + rest for rest in itertools.permutations(others))
 
 
-def _can_reach(
+def _least_cost(
     mechanism: Mechanism,
     domain: DomainSpec,
     honest_counts: Dict[Ballot, int],
     sybil_counts: Dict[Ballot, int],
-    budget: int,
     target: Ballot,
-) -> bool:
-    """Is the target an outcome of some honest modification within budget?
+    cap: int,
+) -> Optional[int]:
+    """The least budget y at which an honest modification (x <= y removals,
+    y additions) elects the target, or None above cap.
 
-    Removals of x voters are enumerated exhaustively over the honest ballot
-    types; for each, every y in [x, budget] additions is spread over the
-    target's support ballots (see _support_ballots).  The search gives up
-    after evaluating _WORK_LIMIT tallies.  On the line: _interval_range.
+    Additions run outermost, so the first electing tally answers; removals
+    are enumerated exhaustively over the honest ballot types and additions
+    spread over the target's support ballots (see _support_ballots).  The
+    search gives up after _WORK_LIMIT tallies.  On the line the reachable
+    interval (_interval_range) grows with the budget: bisect over it.
     """
     if domain.kind == "interval":
-        lo, hi = _interval_range(mechanism, domain, honest_counts, sybil_counts, budget)
-        return BetweenRegion(kind="interval", lo=lo, hi=hi).contains(target)
-    ranked = domain.kind == "categorical" and any(
-        isinstance(b, tuple) for b in honest_counts
-    )
+
+        def reaches(budget: int) -> bool:
+            lo, hi = _interval_range(mechanism, domain, honest_counts, sybil_counts, budget)
+            return BetweenRegion(kind="interval", lo=lo, hi=hi).contains(target)
+
+        least = bisect.bisect_left(range(cap + 1), True, key=reaches)
+        return least if least <= cap else None
+    ranked = domain.kind == "categorical" and any(isinstance(b, tuple) for b in honest_counts)
     support = _support_ballots(domain, ranked, target)
     bins = len(support)
     types = sorted(honest_counts, key=repr)
     bounds = [honest_counts[t] for t in types]
     h = sum(bounds)
     work = 0
-    for x in range(min(budget, h) + 1):
-        for removal in _bounded_compositions(x, bounds):
-            base = dict(sybil_counts)
-            for t, kept, taken in zip(types, bounds, removal):
-                if kept - taken:
-                    base[t] = base.get(t, 0) + kept - taken
-            electorate = sum(base.values())
-            for y in range(x, budget + 1):
-                q = mechanism.re_tau * (electorate + y)
+    for y in range(cap + 1):
+        for x in range(min(y, h) + 1):
+            for removal in _bounded_compositions(x, bounds):
+                base = dict(sybil_counts)
+                for t, kept, taken in zip(types, bounds, removal):
+                    if kept - taken:
+                        base[t] = base.get(t, 0) + kept - taken
+                q = mechanism.re_tau * (sum(base.values()) + y)
                 for spread in _bounded_compositions(y, (y,) * bins):
                     work += 1
                     if work > _WORK_LIMIT:
                         raise BudgetExceeded(
                             f"reachability search too large ({len(types)} honest "
-                            f"ballot types, {bins} support ballots, budget {budget})"
+                            f"ballot types, {bins} support ballots, budget {cap})"
                         )
                     counts = dict(base)
                     for ballot, added in zip(support, spread):
@@ -215,8 +219,8 @@ def _can_reach(
                             counts[ballot] = counts.get(ballot, 0) + added
                     tally = Tally(counts=counts, q=q)
                     if rules.evaluate_tally(mechanism, tally, domain) == target:
-                        return True
-    return False
+                        return y
+    return None
 
 
 _BIG_STEP = 1_000_000
@@ -274,7 +278,12 @@ def _interval_range(
                 count += movers
             return count * unit + (q if x >= r_x else 0)
 
-        return _index_outcome(mechanism, xs, prefix, electorate * unit + q, r_x)
+        total = electorate * unit + q
+        if total <= 0:
+            raise EmptyElectorate("median of an empty electorate")
+        if mechanism.base == "md":
+            return rules.median_at(xs, prefix, total, r_x)
+        return rules.suppressed_median_at(mechanism.base_tau, xs, prefix, total, r_x)
 
     lo = hi = evaluate(0, h, 0, top)
     for removals in range(min(budget, h) + 1):
@@ -284,18 +293,6 @@ def _interval_range(
     hi_out = None if hi >= top else Fraction(hi, scale)
     lo_out = None if lo <= -top else Fraction(lo, scale)
     return lo_out, hi_out
-
-
-def _index_outcome(
-    mechanism: Mechanism, xs: Sequence[int], prefix, total: int, r: int
-) -> int:
-    """The md or som base rule on a sorted integer index (see
-    rules.median_at), the virtual mass already in the prefix."""
-    if total <= 0:
-        raise EmptyElectorate("median of an empty electorate")
-    if mechanism.base == "md":
-        return rules.median_at(xs, prefix, total, r)
-    return rules.suppressed_median_at(mechanism.base_tau, xs, prefix, total, r)
 
 
 def outcome_range(
@@ -318,14 +315,11 @@ def outcome_range(
 
     if domain.kind == "interval":
         lo, hi = _interval_range(mechanism, domain, honest_counts, sybil_counts, budget)
-        return OutcomeRange(
-            gamma=gamma, budget=budget, kind="interval", lo=lo, hi=hi
-        )
+        return OutcomeRange(gamma=gamma, budget=budget, kind="interval", lo=lo, hi=hi)
 
     reachable = frozenset(
-        t
-        for t in domain.alternative_list()
-        if _can_reach(mechanism, domain, honest_counts, sybil_counts, budget, t)
+        t for t in domain.alternative_list()
+        if _least_cost(mechanism, domain, honest_counts, sybil_counts, t, budget) is not None
     )
     return OutcomeRange(gamma=gamma, budget=budget, kind="finite", reachable=reachable)
 
@@ -380,13 +374,29 @@ def min_alpha_for_profile(
     mechanism: Mechanism, base: Mechanism, profile: Profile
 ) -> Fraction:
     """Smallest alpha (a multiple of one over the honest count) at which this
-    profile passes the safety check."""
+    profile passes the safety check.
+
+    The outcome z is safe once it lies between r and a reachable outcome of
+    the base rule: free when z is between r and the base outcome m0, else
+    the least _least_cost over targets t with z between r and t (on the
+    line z alone: every reachable set is an interval holding m0).  A cost
+    of c of the v voters the base rule sees is granted at ceil(c*h/v)/h.
+    """
+    z = rules.apply(mechanism, profile)
+    honest = honest_only(profile)
+    honest_counts, _ = _split_profile(base, honest)
+    visible, domain, r = sum(honest_counts.values()), profile.domain, profile.domain.r
+    if between(domain, r, rules.apply(base, honest)).contains(z):
+        return Fraction(0)
+    cost = visible + 1
+    for t in [z] if domain.kind == "interval" else domain.alternative_list():
+        if between(domain, r, t).contains(z):
+            found = _least_cost(base, domain, honest_counts, {}, t, cost - 1)
+            cost = cost if found is None else found
+    if cost > visible:
+        raise BudgetExceeded("profile not safe even after replacing every honest voter")
     h = profile.n_honest
-    for movers in range(h + 1):
-        alpha = Fraction(movers, h)
-        if is_safe(mechanism, base, profile, alpha):
-            return alpha
-    raise BudgetExceeded("profile not safe even after replacing every honest voter")
+    return Fraction(-(-cost * h // visible), h)
 
 
 def _shape_counts(shape: Tuple[int, Rational, Rational]) -> Tuple[int, int, int]:
@@ -435,9 +445,7 @@ def min_alpha(
         for j in range(hm + 1):
             for s_p in range(s + 1):
                 profile = _binary_profile(domain, k, h_plus, j, hm, s_p, s)
-                worst = max(
-                    worst, min_alpha_for_profile(mechanism, base, profile)
-                )
+                worst = max(worst, min_alpha_for_profile(mechanism, base, profile))
     return worst
 
 
@@ -448,29 +456,24 @@ def visible_honest(mechanism: Mechanism, shape: Tuple[int, Rational, Rational]) 
     return n - s - hm if mechanism.participation == "active" else n - s
 
 
-def is_live(
+def _live_cost(
     mechanism: Mechanism,
     shape: Tuple[int, Rational, Rational],
     target: Ballot,
-    beta: Rational,
-    domain: Optional[DomainSpec] = None,
-) -> bool:
-    """Liveness on the worst-case population: every honest voter starts on
-    the status quo (an r-first ranking for Condorcet rules), and the target
-    must stay reachable against every sybil ballot multiset; the budget is
-    measured against visible_honest.  On the line both ends of the range
-    are nondecreasing in each sybil's position, so every sybil far below
-    (lowest top end) or far above (highest bottom end) blocks whatever any
-    placement blocks."""
+    domain: Optional[DomainSpec],
+    cap: int,
+) -> Optional[int]:
+    """The most, over sybil placements, of the least cost of reaching the
+    target from the worst-case population, or None above cap.
+
+    Every honest voter starts on the status quo (an r-first ranking for
+    Condorcet rules).  On the line both ends of the range are nondecreasing
+    in each sybil's position, so every sybil far below (lowest top end) or
+    far above (highest bottom end) blocks whatever any placement blocks."""
     domain = domain or DomainSpec.binary()
     _, s, _ = _shape_counts(shape)
     target = domain.validate_ballot(target, allow_ranking=False)
-    beta = as_fraction(beta)
-    if beta < 0:
-        raise DegenerateParams("beta must be nonnegative")
     r = domain.r
-    visible = visible_honest(mechanism, shape)
-    budget = int(beta * visible)
     if domain.kind == "interval":
         far = (abs(target) + abs(r) + 1) * 2 + _BIG_STEP
         placements = [{-far: s}, {far: s}] if s else [{}]
@@ -483,10 +486,30 @@ def is_live(
             {c: k for c, k in zip(candidates, combo) if k}
             for combo in _bounded_compositions(s, (s,) * len(candidates))
         )
-    return all(
-        _can_reach(mechanism, domain, {r: visible}, sybil_counts, budget, target)
-        for sybil_counts in placements
-    )
+    honest_counts = {r: visible_honest(mechanism, shape)}
+    worst = 0
+    for sybil_counts in placements:
+        cost = _least_cost(mechanism, domain, honest_counts, sybil_counts, target, cap)
+        if cost is None:
+            return None
+        worst = max(worst, cost)
+    return worst
+
+
+def is_live(
+    mechanism: Mechanism,
+    shape: Tuple[int, Rational, Rational],
+    target: Ballot,
+    beta: Rational,
+    domain: Optional[DomainSpec] = None,
+) -> bool:
+    """Can the honest voters reach the target against every sybil placement
+    within beta times the visible honest count (see _live_cost)?"""
+    visible = visible_honest(mechanism, shape)
+    beta = as_fraction(beta)
+    if beta < 0:
+        raise DegenerateParams("beta must be nonnegative")
+    return _live_cost(mechanism, shape, target, domain, int(beta * visible)) is not None
 
 
 def smallest_live_beta(
@@ -497,12 +520,10 @@ def smallest_live_beta(
     max_units: int = 64,
 ) -> Fraction:
     """Least multiple of 1/(visible honest count) at which is_live holds."""
-    units = visible_honest(mechanism, shape)
-    for b in range(max_units + 1):
-        beta = Fraction(b, units)
-        if is_live(mechanism, shape, target, beta, domain):
-            return beta
-    raise BudgetExceeded(f"no feasible liveness budget up to {max_units} voters")
+    cost = _live_cost(mechanism, shape, target, domain, max_units)
+    if cost is None:
+        raise BudgetExceeded(f"no feasible liveness budget up to {max_units} voters")
+    return Fraction(cost, visible_honest(mechanism, shape))
 
 
 # ---------------------------------------------------------------------------
@@ -573,13 +594,7 @@ def _knife_edge_witness(
         construction="safety-knife-edge",
         violated=f"{alpha}-safety of the RE majority mechanism",
         profile=profile,
-        params={
-            "n": n,
-            "epsilon": eps,
-            "epsilon_prime": eps_prime,
-            "tau": tau,
-            "alpha": alpha,
-        },
+        params={"n": n, "epsilon": eps, "epsilon_prime": eps_prime, "tau": tau, "alpha": alpha},
     )
 
 
@@ -647,8 +662,7 @@ def replay_witness(witness: AdversarialWitness, tau: Rational = 0, alpha: Ration
     """Re-run a witness through the rules: confirm it exhibits the violation
     it claims.  Returns True when the construction checks out."""
     if witness.construction == "safety-knife-edge":
-        tau = witness.params["tau"]
-        alpha = witness.params["alpha"]
+        tau, alpha = witness.params["tau"], witness.params["alpha"]
         mech = Mechanism(base="mj", re_tau=tau, participation="active")
         base = Mechanism(base="mj")
         profile = witness.profile

@@ -123,6 +123,18 @@ class TestDomainSpec:
         with pytest.raises(InvalidBallot):
             DomainSpec.hypercube(True, (0,))
 
+    @pytest.mark.parametrize("position", [True, "3/2", "abc", 0.5, None])
+    def test_interval_positions_are_not_coerced(self, position):
+        with pytest.raises(InvalidBallot):
+            build_profile(DomainSpec.interval(0), [(ACTIVE, 1), (ACTIVE, position)])
+        with pytest.raises(InvalidBallot):
+            DomainSpec.interval(position)
+
+    def test_interval_positions_take_ints_and_fractions(self):
+        prof = build_profile(DomainSpec.interval(2), [(ACTIVE, 1), (ACTIVE, Fraction(3, 2))])
+        assert prof.domain.r == Fraction(2) and type(prof.domain.r) is Fraction
+        assert [type(b) for _, b in prof.voters] == [Fraction, Fraction]
+
 
 POSITIONS = st.fractions(min_value=-6, max_value=6, max_denominator=3)
 

@@ -1,8 +1,11 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from realityvote import (
     DomainSpec,
@@ -18,6 +21,7 @@ from realityvote import (
     outcome_range,
     reduction_check,
     replay_witness,
+    rules,
     smallest_live_beta,
     tightness_witness,
 )
@@ -38,6 +42,7 @@ from conftest import ACTIVE, PASSIVE, SYBIL, binary_profile, interval_profile
 F = Fraction
 MJ = Mechanism("mj")
 MJ_ACTIVE = Mechanism("mj", participation="active")
+_THREE = DomainSpec.categorical(["r", "a", "b"], "r")
 
 
 class TestOutcomeRange:
@@ -206,6 +211,92 @@ class TestMinAlpha:
         assert not is_safe(imj, imj, prof, F(15, 60))
         assert is_safe(imj, imj, prof, F(16, 60))
         assert min_alpha_for_profile(imj, imj, prof) == F(4, 15)
+
+
+# One domain of each kind with its ballots and the base rules that run on it.
+_SAFETY_DOMAINS = [
+    (DomainSpec.binary(), ["r", "p"], ["mj", "smj"]),
+    (_THREE, ["r", "a", "b"], ["pl", "smj"]),
+    (_THREE, list(itertools.permutations(["r", "a", "b"])), ["cc", "scc"]),
+    (DomainSpec.hypercube(2, (0, 1)), [(0, 0), (0, 1), (1, 0), (1, 1)], ["imj"]),
+    (DomainSpec.interval(1), [F(k, 2) for k in range(-4, 5)], ["md", "som"]),
+]
+
+
+@st.composite
+def safety_instances(draw, domain, ballots, rule_names):
+    """A profile whose passive voters carry private ballots, a mechanism and
+    a base mechanism, each in full or active mode."""
+    ballot = st.sampled_from(ballots)
+    voters = [(ACTIVE, draw(ballot))] + draw(
+        st.lists(st.tuples(st.sampled_from([ACTIVE, PASSIVE, SYBIL]), ballot), max_size=5)
+    )
+
+    def mechanism(re_taus):
+        rule = draw(st.sampled_from(rule_names))
+        threshold = F(0)
+        if rule in rules.THRESHOLD_RULES:
+            threshold = draw(st.sampled_from([F(0), F(1, 5), F(2, 5)]))
+        return Mechanism(
+            rule,
+            base_tau=threshold,
+            re_tau=draw(st.sampled_from(re_taus)),
+            participation=draw(st.sampled_from(["full", "active"])),
+        )
+
+    return (
+        mechanism([F(0), F(1, 4), F(1, 2), F(1)]),
+        mechanism([F(0), F(1, 4)]),
+        build_profile(domain, voters),
+    )
+
+
+def per_alpha_min_alpha(mechanism, base, profile):
+    """The definition read literally: is_safe at alpha = m/h for m = 0..h."""
+    h = profile.n_honest
+    for movers in range(h + 1):
+        if is_safe(mechanism, base, profile, F(movers, h)):
+            return F(movers, h)
+    raise BudgetExceeded("not safe at alpha = 1")
+
+
+class TestMinAlphaForProfile:
+    @pytest.mark.parametrize(
+        "domain, ballots, rule_names",
+        _SAFETY_DOMAINS,
+        ids=["binary", "categorical", "rankings", "2-cube", "interval"],
+    )
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_matches_per_alpha_loop(self, domain, ballots, rule_names, data):
+        mech, base, prof = data.draw(safety_instances(domain, ballots, rule_names))
+        try:
+            expected = per_alpha_min_alpha(mech, base, prof)
+        except BudgetExceeded:
+            with pytest.raises(BudgetExceeded):
+                min_alpha_for_profile(mech, base, prof)
+        else:
+            assert min_alpha_for_profile(mech, base, prof) == expected
+
+    def test_budget_is_granted_on_the_honest_grid(self):
+        # The base rule sees the two actives of three honest voters; its one
+        # addition is first granted at alpha = 2/3, since int(1/3 * 2) = 0.
+        prof = binary_profile(active="rp", passive="r", sybil="p")
+        assert per_alpha_min_alpha(MJ_ACTIVE, MJ_ACTIVE, prof) == F(2, 3)
+        assert min_alpha_for_profile(MJ_ACTIVE, MJ_ACTIVE, prof) == F(2, 3)
+
+    def test_hypercube_target_beyond_the_outcome(self):
+        # z = (1, 0) lies in box(r, (1, 1)); one replacement reaches (1, 1),
+        # while z itself takes two.
+        cube = DomainSpec.hypercube(2, (0, 0))
+        prof = build_profile(
+            cube,
+            [(ACTIVE, (1, 1)), (PASSIVE, (0, 1)), (PASSIVE, (0, 1)), (SYBIL, (1, 0))],
+        )
+        imj_active, imj = Mechanism("imj", participation="active"), Mechanism("imj")
+        assert apply(imj_active, prof) == (1, 0)
+        assert per_alpha_min_alpha(imj_active, imj, prof) == F(1, 3)
+        assert min_alpha_for_profile(imj_active, imj, prof) == F(1, 3)
 
 
 class TestLivenessAgainstFormula:
@@ -386,6 +477,37 @@ class TestWorkLimit:
         assert rng.reachable == {"r", "a"}
 
 
+# (mechanism, domain, target, largest budget checked) for finite liveness.
+FINITE_LIVENESS_CASES = [
+    (Mechanism("mj", participation="active"), DomainSpec.binary(), "p", 4),
+    (Mechanism("mj", re_tau=F(1, 4)), DomainSpec.binary(), "p", 4),
+    (Mechanism("smj", base_tau=F(2, 5), participation="active"), DomainSpec.binary(), "p", 4),
+    (Mechanism("smj", base_tau=F(2, 5)), DomainSpec.binary(), "p", 4),
+    (Mechanism("cc", participation="active"), _THREE, "a", 2),
+    (Mechanism("cc", re_tau=F(1, 4)), _THREE, "a", 2),
+    (Mechanism("cc"), _THREE, "r", 1),
+]
+INTERVAL_LIVENESS_MECHANISMS = [
+    Mechanism("md", participation="active"),
+    Mechanism("md", re_tau=F(1, 4)),
+    Mechanism("som", base_tau=F(1, 4), re_tau=F(1, 2), participation="active"),
+]
+INTERVAL_LIVENESS_TARGETS = (F(-3), F(0), F(1, 2), F(2), F(5))
+
+
+def liveness_shapes(mechanism, domain, max_n):
+    """(shape, (actives, passives, sybils), visible honest count) for every
+    shape up to max_n voters; at most two sybils on a categorical domain."""
+    for n in range(1, max_n + 1):
+        for s in range(n):
+            if domain.kind == "categorical" and s > 2:
+                continue
+            for hm in range(n - s):
+                hp = n - s - hm
+                visible = hp if mechanism.participation == "active" else hp + hm
+                yield (n, F(s, n), F(hm, n)), (hp, hm, s), visible
+
+
 def direct_outcome_range(mechanism, profile, gamma):
     """Literal voter-level evaluation of the outcome-range definition, as an
     independent cross-check of the count-multiset enumeration: pick the kept
@@ -554,31 +676,13 @@ class TestAgainstDirectEnumeration:
             )
 
     def test_liveness_matches_voter_level_definition(self):
-        binary = DomainSpec.binary()
-        three = DomainSpec.categorical(["r", "a", "b"], "r")
-        cases = [
-            (Mechanism("mj", participation="active"), binary, "p", 4),
-            (Mechanism("mj", re_tau=F(1, 4)), binary, "p", 4),
-            (Mechanism("smj", base_tau=F(2, 5), participation="active"), binary, "p", 4),
-            (Mechanism("smj", base_tau=F(2, 5)), binary, "p", 4),
-            (Mechanism("cc", participation="active"), three, "a", 2),
-            (Mechanism("cc", re_tau=F(1, 4)), three, "a", 2),
-            (Mechanism("cc"), three, "r", 1),
-        ]
-        for mech, domain, target, max_budget in cases:
-            for n in range(1, 6):
-                for s in range(0, n):
-                    for hm in range(0, n - s):
-                        hp = n - s - hm
-                        if hp < 1 or (domain is three and s > 2):
-                            continue
-                        shape = (n, F(s, n), F(hm, n))
-                        visible = hp if mech.participation == "active" else hp + hm
-                        for b in range(max_budget + 1):
-                            beta = F(b, visible)
-                            assert is_live(mech, shape, target, beta, domain) == (
-                                direct_is_live(mech, shape, target, beta, domain)
-                            ), (mech, shape, target, beta)
+        for mech, domain, target, max_budget in FINITE_LIVENESS_CASES:
+            for shape, _, visible in liveness_shapes(mech, domain, 5):
+                for b in range(max_budget + 1):
+                    beta = F(b, visible)
+                    assert is_live(mech, shape, target, beta, domain) == (
+                        direct_is_live(mech, shape, target, beta, domain)
+                    ), (mech, shape, target, beta)
 
     def test_interval_liveness_two_sybil_placements_suffice(self):
         # is_live parks every sybil far below or far above r; sybils spread
@@ -587,39 +691,46 @@ class TestAgainstDirectEnumeration:
 
         line = DomainSpec.interval(0)
         grid = [F(k) for k in range(-6, 7)] + [F(-1, 2), F(1, 2)]
-        mechanisms = [
-            Mechanism("md", participation="active"),
-            Mechanism("md", re_tau=F(1, 4)),
-            Mechanism("som", base_tau=F(1, 4), re_tau=F(1, 2), participation="active"),
+        for mech in INTERVAL_LIVENESS_MECHANISMS:
+            for shape, (hp, hm, s), visible in liveness_shapes(mech, line, 4):
+                honest = [(ACTIVE, 0)] * hp + [(PASSIVE, 0)] * hm
+                for target in INTERVAL_LIVENESS_TARGETS:
+                    for b in range(4):
+                        beta = F(b, visible)
+                        probed = all(
+                            outcome_range(
+                                mech,
+                                build_profile(line, honest + [(SYBIL, x) for x in sybils]),
+                                beta,
+                            ).contains(target)
+                            for sybils in itertools.combinations_with_replacement(grid, s)
+                        )
+                        assert is_live(mech, shape, target, beta, line) == probed, (
+                            mech, shape, target, beta
+                        )
+
+    def test_is_live_holds_from_smallest_live_beta_on(self):
+        # Both read one liveness cost: is_live(beta) holds exactly when beta
+        # is at least smallest_live_beta, on every shape and mechanism above,
+        # half units included.
+        line = DomainSpec.interval(0)
+        cases = list(FINITE_LIVENESS_CASES) + [
+            (mech, line, target, 3)
+            for mech in INTERVAL_LIVENESS_MECHANISMS
+            for target in INTERVAL_LIVENESS_TARGETS
         ]
-        for mech in mechanisms:
-            for n in range(1, 5):
-                for s in range(0, n):
-                    for hm in range(0, n - s):
-                        hp = n - s - hm
-                        if hp < 1:
-                            continue
-                        shape = (n, F(s, n), F(hm, n))
-                        honest = [(ACTIVE, 0)] * hp + [(PASSIVE, 0)] * hm
-                        visible = hp if mech.participation == "active" else hp + hm
-                        for target in (F(-3), F(0), F(1, 2), F(2), F(5)):
-                            for b in range(4):
-                                beta = F(b, visible)
-                                probed = all(
-                                    outcome_range(
-                                        mech,
-                                        build_profile(
-                                            line, honest + [(SYBIL, x) for x in sybils]
-                                        ),
-                                        beta,
-                                    ).contains(target)
-                                    for sybils in itertools.combinations_with_replacement(
-                                        grid, s
-                                    )
-                                )
-                                assert is_live(mech, shape, target, beta, line) == probed, (
-                                    mech, shape, target, beta
-                                )
+        for mech, domain, target, max_budget in cases:
+            for shape, _, visible in liveness_shapes(mech, domain, 5 if domain is not line else 4):
+                try:
+                    least = smallest_live_beta(mech, shape, target, domain, max_units=max_budget)
+                except BudgetExceeded:
+                    least = None
+                for k in range(2 * max_budget + 2):
+                    beta = F(k, 2 * visible)
+                    live = least is not None and beta >= least
+                    assert is_live(mech, shape, target, beta, domain) == live, (
+                        mech, shape, target, beta, least
+                    )
 
     def test_interval_hull_matches_probed_mover_placements(self):
         # Place the movers on a fine probe grid (which the hull construction
