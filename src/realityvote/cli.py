@@ -22,7 +22,7 @@ from .errors import (
     RealityVoteError,
 )
 from .guarantees import Setting
-from .population import as_fraction, format_rational
+from .population import format_rational
 from .rules import Mechanism
 
 EXIT_OK = 0
@@ -51,14 +51,14 @@ def parse_mechanism(spec: str) -> Mechanism:
         name, _, raw_tau = head.partition(":")
         if name not in rules.THRESHOLD_RULES:
             raise MechanismMismatch(f"base rule {name!r} takes no threshold")
-        base_tau = as_fraction(Fraction(raw_tau))
+        base_tau = Fraction(raw_tau)
     else:
         name, base_tau = head, Fraction(0)
     re_tau = Fraction(0)
     mode = "full"
     for token in tokens[1:]:
         if token.startswith("re:"):
-            re_tau = as_fraction(Fraction(token[3:]))
+            re_tau = Fraction(token[3:])
         elif token.startswith("mode:"):
             mode = token[5:]  # Mechanism checks it
         else:
@@ -96,7 +96,7 @@ def cmd_eval(args) -> int:
     print(f"mechanism: {mechanism.describe()}")
     print(f"outcome: {_format_outcome(outcome)}")
     if mechanism.participation != "proxy":
-        tally = rules.build_tally(mechanism, profile)
+        tally = rules.build_tally(mechanism, profile.counts)
         print(f"visible: {tally.cast_total}")
         print(f"q: {format_rational(tally.q)}")
         print("tally:")

@@ -20,7 +20,6 @@ from .population import (
     DomainSpec,
     Profile,
     VoterClass,
-    as_fraction,
     build_profile,
     format_rational,
 )
@@ -254,6 +253,6 @@ def parse_rational_list(raw: str) -> Tuple[Fraction, ...]:
     if not items:
         raise InvalidBallot("empty grid")
     try:
-        return tuple(as_fraction(Fraction(piece)) for piece in items)
+        return tuple(Fraction(piece) for piece in items)
     except (ValueError, ZeroDivisionError) as exc:
         raise InvalidBallot(f"bad rational in grid: {exc}") from None

@@ -1,8 +1,9 @@
 """Seed-deterministic random-participation experiments.
 
 Each trial draws the active honest set uniformly without replacement from
-the template's honest population and checks the safety predicate through
-the verifier, so there is exactly one definition of a violation.  Trials
+the template's honest population (a binary trial is only a count table)
+and tests its outcome against the verifier's safe region, computed once:
+the base rule reads every honest ballot, so no draw changes it.  Trials
 use substreams derived from (seed, trial index); serial and parallel
 execution therefore agree bit-for-bit.
 """
@@ -19,7 +20,7 @@ import numpy as np
 from . import proxy, verifier
 from .errors import DegenerateParams, SampleTooLarge
 from .guarantees import Setting, safety_threshold
-from .population import HONEST_CLASSES, Profile, Rational, VoterClass, as_fraction
+from .population import HONEST_CLASSES, Profile, Rational, VoterClass, as_fraction, ballot_counts
 from .rules import Mechanism
 
 
@@ -47,6 +48,8 @@ class Experiment:
             raise DegenerateParams("need at least one trial")
         if self.alpha_prime <= 0:
             raise DegenerateParams("alpha_prime must be positive")
+        if self.base.participation != "full":
+            raise DegenerateParams("the base rule reads every honest ballot")
         if not self.profile.has_full_honest_ballots():
             raise DegenerateParams("template needs every honest ballot")
         if self.n_plus > self.profile.n_honest or self.n_plus < 1:
@@ -104,7 +107,7 @@ def run_safety_whp(exp: Experiment) -> TrialStats:
     if exp.profile.domain.kind != "binary":
         raise DegenerateParams("the w.h.p. safety experiment is binary")
     domain = exp.profile.domain
-    honest_p = exp.profile.ballot_counts(HONEST_CLASSES).get(domain.proposal, 0)
+    honest_p = ballot_counts(exp.profile.counts, HONEST_CLASSES).get(domain.proposal, 0)
     sybil_p = exp.profile.counts[VoterClass.SYBIL].get(domain.proposal, 0)
     h, s = exp.profile.n_honest, exp.profile.n_sybil
     n = exp.profile.n
@@ -119,12 +122,15 @@ def run_safety_whp(exp: Experiment) -> TrialStats:
     else:
         bound = 1.0
 
+    region = verifier.outcome_range(
+        exp.base, verifier.honest_only(exp.profile), exp.alpha_prime
+    ).safe_region(domain)
     violations = 0
     for active_p in _supporter_draws(honest_p, h, exp.n_plus, exp.trials, exp.seed):
-        trial_profile = verifier._binary_profile(
+        trial = verifier._binary_counts(
             domain, active_p, exp.n_plus, honest_p - active_p, h - exp.n_plus, sybil_p, s
         )
-        if not verifier.is_safe(exp.mechanism, exp.base, trial_profile, exp.alpha_prime):
+        if not region.contains(verifier._binary_outcome(exp.mechanism, domain, trial)):
             violations += 1
     return TrialStats(
         violation_count=violations,
@@ -194,7 +200,7 @@ def hoeffding_diagnostic(
         raise DegenerateParams("the diagnostic runs on binary templates")
     if trials < 1:
         raise DegenerateParams("need at least one trial")
-    honest_p = template.ballot_counts(HONEST_CLASSES).get(template.domain.proposal, 0)
+    honest_p = ballot_counts(template.counts, HONEST_CLASSES).get(template.domain.proposal, 0)
     honest = template.n_honest
     if n_plus > honest or n_plus < 1:
         raise SampleTooLarge("active sample must fit inside the honest set")

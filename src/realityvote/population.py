@@ -1,10 +1,10 @@
 """Voter populations, ballots, and the fraction parameters shared by all modules.
 
-A population is split into honest voters (active or passive) and sybils,
-stored in voter order (which serialization, projection and proxy draws
-use) and counted once into ``Profile.counts``, which every fraction, tally
-and outcome range reads: every rule is anonymous.  All derived fractions
-are exact rationals; nothing in this package tallies with floats.
+A population is split into honest voters (active or passive) and sybils.
+Every rule is anonymous, so every fraction, tally and outcome range reads
+its ``CountTable``; a ``Profile`` keeps its voters in order for
+serialization, projection and proxy draws.  All derived fractions are
+exact rationals; nothing in this package tallies with floats.
 """
 
 from __future__ import annotations
@@ -46,12 +46,10 @@ HONEST_CLASSES = (VoterClass.HONEST_ACTIVE, VoterClass.HONEST_PASSIVE)
 
 
 def as_fraction(value: Rational) -> Fraction:
-    """Coerce ints/Fractions (and exact strings like '2/5') to Fraction."""
+    """Coerce an int or a Fraction to Fraction; anything else is a TypeError."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
@@ -166,6 +164,22 @@ class DomainSpec:
 
 
 Voter = Tuple[VoterClass, Optional[Ballot]]
+BallotCounts = Dict[Optional[Ballot], int]  # a missing private ballot under None
+#: Ballot counts per voter class, every class present and zero counts left
+#: out: ``Profile.counts``'s shape.
+CountTable = Dict[VoterClass, BallotCounts]
+
+
+def ballot_counts(counts: CountTable, classes: Iterable[VoterClass]) -> BallotCounts:
+    """Ballot counts summed over the given voter classes (a new dict)."""
+    merged: BallotCounts = {}
+    for cls in classes:
+        if not merged:  # a copy reuses the stored hashes
+            merged = dict(counts[cls])
+            continue
+        for ballot, k in counts[cls].items():
+            merged[ballot] = merged.get(ballot, 0) + k
+    return merged
 
 
 @dataclass(frozen=True)
@@ -185,25 +199,13 @@ class Profile:
         return len(self.voters)
 
     @cached_property
-    def counts(self) -> Dict[VoterClass, Dict[Optional[Ballot], int]]:
-        """Ballot counts per voter class (every class present, a missing
-        private ballot under None), derived once from ``voters``; read-only."""
+    def counts(self) -> CountTable:
+        """The voters' count table, derived once from ``voters``; read-only."""
         counts = {cls: {} for cls in (*HONEST_CLASSES, VoterClass.SYBIL)}
         for cls, ballot in self.voters:
             by_ballot = counts[cls]
             by_ballot[ballot] = by_ballot.get(ballot, 0) + 1
         return counts
-
-    def ballot_counts(self, classes: Iterable[VoterClass]) -> Dict[Optional[Ballot], int]:
-        """Ballot counts summed over the given voter classes (a new dict)."""
-        merged: Dict[Optional[Ballot], int] = {}
-        for cls in classes:
-            if not merged:  # a copy reuses the stored hashes
-                merged = dict(self.counts[cls])
-                continue
-            for ballot, k in self.counts[cls].items():
-                merged[ballot] = merged.get(ballot, 0) + k
-        return merged
 
     @property
     def n_sybil(self) -> int:
@@ -370,7 +372,7 @@ class NonatomicProfile:
             raise InvalidBallot("nonatomic populations are binary only")
         if not profile.has_full_honest_ballots():
             raise InvalidBallot("passive voters need private ballots here")
-        honest = profile.ballot_counts(HONEST_CLASSES)
+        honest = ballot_counts(profile.counts, HONEST_CLASSES)
         sybil = profile.counts[VoterClass.SYBIL]
         r, p, n = profile.domain.status_quo, profile.domain.proposal, profile.n
         return NonatomicProfile(

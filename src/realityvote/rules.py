@@ -6,8 +6,8 @@ status quo before the base rule runs; ``q`` is kept as an exact rational
 (tau times the visible electorate), never rounded to a whole number of
 voters, which keeps the supermajority and suppressed-median equivalences
 exact on knife-edge profiles.
-A tally sums the profile's ballot counts (``Profile.counts``) over the
-voter classes the participation mode shows (``visible_classes``).
+A tally sums a population's count table (``population.CountTable``) over
+the voter classes the participation mode shows (``visible_classes``).
 """
 
 from __future__ import annotations
@@ -25,7 +25,9 @@ from .errors import (
     MissingPrivateBallots,
     NonRankingBallot,
 )
-from .population import Ballot, DomainSpec, Profile, Rational, VoterClass, as_fraction
+from .population import (
+    Ballot, CountTable, DomainSpec, Profile, Rational, VoterClass, as_fraction, ballot_counts
+)
 
 PARTICIPATION_MODES = ("full", "active", "proxy")
 THRESHOLD_RULES = ("smj", "scc", "som")  # the base rules that take a tau
@@ -332,21 +334,17 @@ def visible_classes(mechanism: Mechanism) -> Tuple[VoterClass, ...]:
     return _ACTIVE_CLASSES
 
 
-def virtual_mass(mechanism: Mechanism, profile: Profile) -> Fraction:
-    """q scales with the electorate the mechanism sees: the active voters
-    under active-only restriction, the whole population otherwise (the
-    proxy mechanism knows how many voters delegated)."""
-    if mechanism.participation == "active":
-        return mechanism.re_tau * profile.n_visible
-    return mechanism.re_tau * profile.n
-
-
-def build_tally(mechanism: Mechanism, profile: Profile) -> Tally:
-    """The visible classes' ballot counts (see visible_classes) plus q."""
-    counts = profile.ballot_counts(visible_classes(mechanism))
-    if None in counts:
+def build_tally(mechanism: Mechanism, counts: CountTable) -> Tally:
+    """A count table's visible classes' ballot counts (see visible_classes)
+    plus q, tau times the voters tallied (under proxy participation every
+    voter: the proxy mechanism knows how many voters delegated)."""
+    cast = ballot_counts(counts, visible_classes(mechanism))
+    if None in cast:
         raise MissingPrivateBallots("full participation needs passive voters' ballots")
-    return Tally(counts=counts, q=virtual_mass(mechanism, profile))
+    electorate = sum(cast.values())
+    if mechanism.participation == "proxy":
+        electorate = sum(sum(by_ballot.values()) for by_ballot in counts.values())
+    return Tally(counts=cast, q=mechanism.re_tau * electorate)
 
 
 #: Base rule -> (its evaluator on (mechanism, tally, domain), the domain
@@ -397,4 +395,4 @@ def apply(mechanism: Mechanism, profile: Profile) -> Ballot:
 
         return proxy.md_proxy(profile, mechanism.re_tau)
 
-    return evaluate_tally(mechanism, build_tally(mechanism, profile), domain)
+    return evaluate_tally(mechanism, build_tally(mechanism, profile.counts), domain)

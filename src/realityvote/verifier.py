@@ -4,7 +4,8 @@ bounds.
 
 Everything here evaluates the definitions directly on small finite
 instances; the closed-form module is validated against these results, not
-the other way around.  Enumeration is over ballot-count multisets, which is
+the other way around.  Enumeration is over count tables and ballot-count
+multisets (the binary worst case builds no voter list), which is
 exhaustive because every implemented rule is anonymous.
 
 One least-cost search (``_least_cost``) on honest and sybil ballot counts
@@ -45,12 +46,14 @@ from .errors import (
 from .population import (
     HONEST_CLASSES,
     Ballot,
+    CountTable,
     DomainSpec,
     NonatomicProfile,
     Profile,
     Rational,
     VoterClass,
     as_fraction,
+    ballot_counts,
     build_profile,
     project_to_pair,
 )
@@ -128,16 +131,16 @@ def _bounded_compositions(
             yield (first,) + rest
 
 
-def _split_profile(mechanism: Mechanism, profile: Profile) -> Tuple[Dict, Dict]:
+def _split(mechanism: Mechanism, counts: CountTable) -> Tuple[Dict, Dict]:
     """Ballot counts of the visible (modifiable) honest voters and the sybils."""
     if mechanism.participation == "proxy":
         raise MechanismMismatch("outcome ranges for proxy mechanisms are not enumerable")
-    honest = profile.ballot_counts(
-        c for c in rules.visible_classes(mechanism) if c is not VoterClass.SYBIL
+    honest = ballot_counts(
+        counts, (c for c in rules.visible_classes(mechanism) if c is not VoterClass.SYBIL)
     )
     if None in honest:
         raise MissingPrivateBallots("modifiable honest voters need ballots")
-    return honest, profile.counts[VoterClass.SYBIL]
+    return honest, counts[VoterClass.SYBIL]
 
 
 def _support_ballots(
@@ -310,7 +313,7 @@ def outcome_range(
     if gamma < 0:
         raise DegenerateParams("gamma must be nonnegative")
     domain = profile.domain
-    honest_counts, sybil_counts = _split_profile(mechanism, profile)
+    honest_counts, sybil_counts = _split(mechanism, profile.counts)
     budget = int(gamma * sum(honest_counts.values()))
 
     if domain.kind == "interval":
@@ -329,7 +332,7 @@ _range_cache: Dict[tuple, OutcomeRange] = {}
 
 
 def _cached_range(mechanism: Mechanism, profile: Profile, gamma: Fraction) -> OutcomeRange:
-    honest, sybils = _split_profile(mechanism, profile)
+    honest, sybils = _split(mechanism, profile.counts)
     key = (
         mechanism,
         profile.domain,
@@ -347,14 +350,12 @@ def _cached_range(mechanism: Mechanism, profile: Profile, gamma: Fraction) -> Ou
 
 
 def honest_only(profile: Profile) -> Profile:
-    """The honest sub-population, for evaluating the base rule on H: the
-    validated voters filtered, counted by the parent's counts minus sybils."""
+    """The honest sub-population (validated voters filtered), for evaluating
+    the base rule on H."""
     if not profile.has_full_honest_ballots():
         raise MissingPrivateBallots("safety needs passive voters' private ballots")
     honest = tuple(v for v in profile.voters if v[0] is not VoterClass.SYBIL)
-    sub = Profile(domain=profile.domain, voters=honest)
-    object.__setattr__(sub, "counts", {**profile.counts, VoterClass.SYBIL: {}})
-    return sub
+    return Profile(domain=profile.domain, voters=honest)
 
 
 def is_safe(
@@ -374,19 +375,24 @@ def min_alpha_for_profile(
     mechanism: Mechanism, base: Mechanism, profile: Profile
 ) -> Fraction:
     """Smallest alpha (a multiple of one over the honest count) at which this
-    profile passes the safety check.
-
-    The outcome z is safe once it lies between r and a reachable outcome of
-    the base rule: free when z is between r and the base outcome m0, else
-    the least _least_cost over targets t with z between r and t (on the
-    line z alone: every reachable set is an interval holding m0).  A cost
-    of c of the v voters the base rule sees is granted at ceil(c*h/v)/h.
-    """
+    profile passes the safety check (see _least_safe_alpha)."""
     z = rules.apply(mechanism, profile)
-    honest = honest_only(profile)
-    honest_counts, _ = _split_profile(base, honest)
-    visible, domain, r = sum(honest_counts.values()), profile.domain, profile.domain.r
-    if between(domain, r, rules.apply(base, honest)).contains(z):
+    return _least_safe_alpha(base, profile.domain, z, honest_only(profile).counts)
+
+
+def _least_safe_alpha(
+    base: Mechanism, domain: DomainSpec, z: Ballot, honest: CountTable
+) -> Fraction:
+    """Least alpha at which outcome z is safe against the base rule on the
+    honest voters' count table: free when z is between r and the base
+    outcome m0, else the least _least_cost over targets t with z between r
+    and t (on the line z alone: every reachable set is an interval holding
+    m0).  A cost of c of the v voters the base rule sees is granted at
+    ceil(c*h/v)/h for h honest voters."""
+    honest_counts, _ = _split(base, honest)
+    visible, r = sum(honest_counts.values()), domain.r
+    m0 = rules.evaluate_tally(base, rules.build_tally(base, honest), domain)
+    if between(domain, r, m0).contains(z):
         return Fraction(0)
     cost = visible + 1
     for t in [z] if domain.kind == "interval" else domain.alternative_list():
@@ -395,7 +401,7 @@ def min_alpha_for_profile(
             cost = cost if found is None else found
     if cost > visible:
         raise BudgetExceeded("profile not safe even after replacing every honest voter")
-    h = profile.n_honest
+    h = sum(sum(honest[cls].values()) for cls in HONEST_CLASSES)
     return Fraction(-(-cost * h // visible), h)
 
 
@@ -411,19 +417,31 @@ def _shape_counts(shape: Tuple[int, Rational, Rational]) -> Tuple[int, int, int]
     return n, s, hm
 
 
-def _binary_profile(
+def _binary_counts(
     domain: DomainSpec, k_active_p: int, h_plus: int, j_passive_p: int, h_minus: int,
     s_p: int, s: int,
-) -> Profile:
+) -> CountTable:
+    """The count table of k of h_plus honest actives, j of h_minus passives'
+    private votes and s_p of s sybils on the proposal, the rest on r."""
     r, p = domain.status_quo, domain.proposal
+    classes = zip(VoterClass, (k_active_p, j_passive_p, s_p), (h_plus, h_minus, s))
+    return {c: {b: k for b, k in ((p, on_p), (r, size - on_p)) if k} for c, on_p, size in classes}
+
+
+def _binary_profile(domain: DomainSpec, *counts: int) -> Profile:
+    """_binary_counts as a voter list: class by class, the proposal first."""
     voters = []
-    voters += [(VoterClass.HONEST_ACTIVE, p)] * k_active_p
-    voters += [(VoterClass.HONEST_ACTIVE, r)] * (h_plus - k_active_p)
-    voters += [(VoterClass.HONEST_PASSIVE, p)] * j_passive_p
-    voters += [(VoterClass.HONEST_PASSIVE, r)] * (h_minus - j_passive_p)
-    voters += [(VoterClass.SYBIL, p)] * s_p
-    voters += [(VoterClass.SYBIL, r)] * (s - s_p)
+    for cls, by_ballot in _binary_counts(domain, *counts).items():
+        for ballot, k in by_ballot.items():
+            voters += [(cls, ballot)] * k
     return build_profile(domain, voters)
+
+
+def _binary_outcome(mechanism: Mechanism, domain: DomainSpec, counts: CountTable) -> Ballot:
+    """rules.apply on a binary count table."""
+    if mechanism.participation == "proxy":  # it reads voter order
+        raise MechanismMismatch("proxy participation is median-on-interval only")
+    return rules.evaluate_tally(mechanism, rules.build_tally(mechanism, counts), domain)
 
 
 def min_alpha(
@@ -441,11 +459,10 @@ def min_alpha(
     n, s, hm = _shape_counts(shape)
     h_plus = n - s - hm
     worst = Fraction(0)
-    for k in range(h_plus + 1):
-        for j in range(hm + 1):
-            for s_p in range(s + 1):
-                profile = _binary_profile(domain, k, h_plus, j, hm, s_p, s)
-                worst = max(worst, min_alpha_for_profile(mechanism, base, profile))
+    for k, j, s_p in itertools.product(range(h_plus + 1), range(hm + 1), range(s + 1)):
+        counts = _binary_counts(domain, k, h_plus, j, hm, s_p, s)
+        z = _binary_outcome(mechanism, domain, counts)
+        worst = max(worst, _least_safe_alpha(base, domain, z, {**counts, VoterClass.SYBIL: {}}))
     return worst
 
 
@@ -671,9 +688,9 @@ def replay_witness(witness: AdversarialWitness, tau: Rational = 0, alpha: Ration
     if witness.construction == "indistinguishable-pair":
         v, v_bar = witness.profile_pair
         mech = Mechanism(base="mj", re_tau=tau, participation="active")
-        same_tally = rules.build_tally(mech, v).counts == rules.build_tally(mech, v_bar).counts
+        same_tally = rules.build_tally(mech, v.counts) == rules.build_tally(mech, v_bar.counts)
         same_outcome = rules.apply(mech, v) == rules.apply(mech, v_bar)
-        honest_r = v_bar.ballot_counts(HONEST_CLASSES).get(v_bar.domain.status_quo, 0)
+        honest_r = ballot_counts(v_bar.counts, HONEST_CLASSES).get(v_bar.domain.status_quo, 0)
         weak_majority_r = 2 * honest_r >= v_bar.n_honest
         return same_tally and same_outcome and weak_majority_r
     if witness.construction == "random-indistinguishable-pair":

@@ -275,7 +275,7 @@ def test_criterion_6_lower_bound_witnesses():
         witness = tightness_witness("indistinguishable-pair", sigma=sigma, mu=mu)
         v, v_bar = witness.profile_pair
         tallies_match = (
-            build_tally(MJ_ACTIVE, v).counts == build_tally(MJ_ACTIVE, v_bar).counts
+            build_tally(MJ_ACTIVE, v.counts).counts == build_tally(MJ_ACTIVE, v_bar.counts).counts
         )
         honest_r = sum(
             1

@@ -316,6 +316,11 @@ class TestOracle:
     def test_bad_shape_is_input_error(self):
         assert main(["oracle", "--shape", "5,2/5", "--mechanism", "mj"]) == 2
 
+    def test_proxy_mechanism_on_shapes_is_a_mismatch(self):
+        # The binary worst case evaluates count tables, which carry no voter
+        # order for proxy delegation.
+        assert main(["oracle", "--shape", "5,2/5,0", "--mechanism", "mj mode:proxy"]) == 3
+
 
 class TestSimulate:
     def test_hoeffding_passes(self, tmp_path, capsys):

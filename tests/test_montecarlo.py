@@ -62,6 +62,11 @@ class TestExperimentValidation:
         with pytest.raises(SampleTooLarge):
             whp_experiment(n_plus=21)
 
+    def test_base_reads_every_honest_ballot(self):
+        # The safe region is computed once from the template's honest voters.
+        with pytest.raises(DegenerateParams):
+            whp_experiment(base=Mechanism("mj", participation="active"))
+
 
 class TestSafetyWhp:
     def test_seed_determinism(self):
@@ -182,18 +187,37 @@ class TestBinaryTrialDraw:
             for t in range(trials)
         ]
 
+    # (participation, RE tau, sybil ballots, alpha', how many trials violate)
+    SAFETY_CASES = [
+        ("active", F(1, 5), "p" * 5, F(1, 10), "some"),
+        # Under full participation the draw does not change the outcome.
+        ("full", F(0), "p" * 10, F(1, 10), "all"),
+        ("active", F(1, 5), "p" * 7 + "r", F(1, 10), "some"),
+        # Five replacements elect p on the honest voters: always safe.
+        ("active", F(1, 5), "p" * 7 + "r", F(1, 4), "none"),
+    ]
+
     def test_safety_trials(self):
-        exp = whp_experiment(tau=F(1, 5), trials=60)
-        violations = 0
-        for k in self.reference_draws(6, 20, exp.n_plus, exp.trials, exp.seed):
-            trial = binary_profile(
-                active="p" * k + "r" * (exp.n_plus - k),
-                passive="p" * (6 - k) + "r" * (14 - exp.n_plus + k),
-                sybil="p" * 5,
+        for mode, tau, sybil, alpha_prime, share in self.SAFETY_CASES:
+            template = binary_profile(active="p" * 6 + "r" * 14, sybil=sybil)
+            mechanism = Mechanism("mj", re_tau=tau, participation=mode)
+            exp = whp_experiment(
+                profile=template, mechanism=mechanism, alpha_prime=alpha_prime, trials=60
             )
-            violations += not is_safe(exp.mechanism, exp.base, trial, exp.alpha_prime)
-        assert 0 < violations < exp.trials
-        assert run_safety_whp(exp).violation_count == violations
+            violations = 0
+            for k in self.reference_draws(6, 20, exp.n_plus, exp.trials, exp.seed):
+                trial = binary_profile(
+                    active="p" * k + "r" * (exp.n_plus - k),
+                    passive="p" * (6 - k) + "r" * (14 - exp.n_plus + k),
+                    sybil=sybil,
+                )
+                violations += not is_safe(exp.mechanism, exp.base, trial, exp.alpha_prime)
+            assert {
+                "none": violations == 0,
+                "some": 0 < violations < exp.trials,
+                "all": violations == exp.trials,
+            }[share], (mode, sybil, violations)
+            assert run_safety_whp(exp).violation_count == violations
 
     def test_hoeffding_trials(self):
         template = binary_profile(active="p" * 30 + "r" * 50)

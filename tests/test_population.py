@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from realityvote import DomainSpec, build_profile, project_to_pair
+from realityvote import DomainSpec, Mechanism, build_profile, is_live, project_to_pair
 from realityvote.errors import (
     InvalidBallot,
     MixedBallotKind,
@@ -134,6 +134,21 @@ class TestDomainSpec:
         prof = build_profile(DomainSpec.interval(2), [(ACTIVE, 1), (ACTIVE, Fraction(3, 2))])
         assert prof.domain.r == Fraction(2) and type(prof.domain.r) is Fraction
         assert [type(b) for _, b in prof.voters] == [Fraction, Fraction]
+
+
+class TestAsFraction:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: Mechanism("mj", re_tau=True),
+            lambda: Mechanism("smj", base_tau="2/5"),
+            lambda: is_live(Mechanism("mj"), (5, "2/5", 0), "p", True),
+        ],
+        ids=["bool-tau", "string-tau", "string-sigma"],
+    )
+    def test_only_ints_and_fractions_are_rationals(self, call):
+        with pytest.raises(TypeError):
+            call()
 
 
 POSITIONS = st.fractions(min_value=-6, max_value=6, max_denominator=3)

@@ -241,7 +241,7 @@ class TestApply:
     def test_rule_applies_exactly_on_its_domains(self, base, kind):
         prof = ONE_PROFILE_PER_KIND[kind]
         mech = Mechanism(base, participation="active")
-        tally = build_tally(mech, prof)
+        tally = build_tally(mech, prof.counts)
         for evaluate in (
             lambda: apply(mech, prof),
             lambda: evaluate_tally(mech, tally, prof.domain),
@@ -279,11 +279,11 @@ class TestApply:
         visible = [b for c, b in prof.voters if mode == "full" or c is not PASSIVE]
         if None in visible:
             with pytest.raises(MissingPrivateBallots):
-                build_tally(mech, prof)
+                build_tally(mech, prof.counts)
             return
         electorate = len(visible) if mode == "active" else len(prof.voters)
         want = tally_ballots(visible, q=re_tau * electorate)
-        assert build_tally(mech, prof) == want
+        assert build_tally(mech, prof.counts) == want
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from realityvote.errors import (
 )
 from realityvote.guarantees import Setting, liveness_threshold, safety_threshold
 from realityvote.population import VoterClass
-from realityvote.verifier import honest_only
+from realityvote.verifier import _binary_counts, honest_only
 
 from conftest import ACTIVE, PASSIVE, SYBIL, binary_profile, interval_profile
 
@@ -197,6 +197,38 @@ class TestMinAlpha:
                         )
                         h = n - s
                         assert oracle <= max(F(0), F(math.ceil(t * h), h))
+
+    @pytest.mark.parametrize(
+        "mech",
+        [
+            *(Mechanism("mj", re_tau=tau, participation="active")
+              for tau in (F(0), F(1, 4), F(1, 2), F(1))),
+            MJ,
+            Mechanism("smj", base_tau=F(1, 4)),
+            Mechanism("smj", base_tau=F(1, 4), participation="active"),
+        ],
+        ids=Mechanism.describe,
+    )
+    def test_count_tables_match_voter_lists(self, mech):
+        # min_alpha walks count tables; the worst case over the same
+        # populations built as voter lists must agree, count for count.
+        for n in range(1, 7):
+            for s in range(n):
+                for hm in range(n - s):
+                    hp = n - s - hm
+                    worst = F(0)
+                    for k, j, s_p in itertools.product(
+                        range(hp + 1), range(hm + 1), range(s + 1)
+                    ):
+                        prof = binary_profile(
+                            active="p" * k + "r" * (hp - k),
+                            passive="p" * j + "r" * (hm - j),
+                            sybil="p" * s_p + "r" * (s - s_p),
+                        )
+                        counts = _binary_counts(prof.domain, k, hp, j, hm, s_p, s)
+                        assert counts == prof.counts
+                        worst = max(worst, min_alpha_for_profile(mech, MJ, prof))
+                    assert min_alpha(mech, MJ, (n, F(s, n), F(hm, n))) == worst, (n, s, hm)
 
     def test_hypercube_worked_example(self):
         cube = DomainSpec.hypercube(3, (0, 0, 0))
