@@ -76,8 +76,10 @@ class Mechanism:
 class Tally:
     """Cast vote masses per alternative plus the virtual status-quo mass q.
 
-    Cast masses are nonnegative integers (counts); q = re_tau times the
-    number of voters visible to the mechanism, an exact rational.
+    Cast masses are nonnegative integers (counts) and stay ints: the rules
+    compare them, or their differences, with q or with one rational
+    threshold, which is exact.  q = re_tau times the number of voters
+    visible to the mechanism, an exact rational.
     """
 
     counts: Dict[Ballot, int] = field(default_factory=dict)
@@ -87,8 +89,8 @@ class Tally:
     def cast_total(self) -> int:
         return sum(self.counts.values())
 
-    def mass(self, alternative: Ballot) -> Fraction:
-        return Fraction(self.counts.get(alternative, 0))
+    def mass(self, alternative: Ballot) -> int:
+        return self.counts.get(alternative, 0)
 
 
 def tally_ballots(ballots: Iterable[Ballot], q: Rational = 0) -> Tally:
@@ -203,7 +205,7 @@ def majority(tally: Tally, domain: DomainSpec) -> Ballot:
     """Binary majority: the proposal wins only by strictly outmassing the
     status quo plus the virtual mass q; ties go to the status quo."""
     r, p = domain.status_quo, domain.proposal
-    if tally.mass(p) > tally.mass(r) + tally.q:
+    if tally.mass(p) - tally.mass(r) > tally.q:
         return p
     return r
 
@@ -227,16 +229,8 @@ def plurality(tally: Tally, domain: DomainSpec) -> Ballot:
     involving the status quo keep it; ties among challengers break by the
     domain's alternative order."""
     r = domain.r
-    scores = {}
-    for alternative in domain.alternative_list():
-        score = tally.mass(alternative)
-        if alternative == r:
-            score += tally.q
-        scores[alternative] = score
-    top = max(scores.values())
-    if scores[r] == top:
-        return r
-    return next(a for a, score in scores.items() if score == top)  # in domain order
+    best = max((a for a in domain.alternative_list() if a != r), key=tally.mass)  # first of equals
+    return best if tally.mass(best) - tally.mass(r) > tally.q else r
 
 
 def condorcet_conservative(tau: Fraction, tally: Tally, domain: DomainSpec) -> Ballot:
@@ -261,8 +255,8 @@ def condorcet_conservative(tau: Fraction, tally: Tally, domain: DomainSpec) -> B
                 pref[(upper, lower)] = pref.get((upper, lower), 0) + count
 
     def beats(a: Ballot, b: Ballot) -> bool:
-        support = Fraction(pref.get((a, b), 0))
-        contest_total = Fraction(cast)
+        support = pref.get((a, b), 0)
+        contest_total = cast
         if r in (a, b):
             contest_total += tally.q
             if a == r:
@@ -279,15 +273,12 @@ def issuewise_majority(tally: Tally, domain: DomainSpec) -> Ballot:
     """Per-coordinate binary majority with q on the status quo's value and
     per-coordinate ties kept at the status quo.  The winning point may be
     one nobody voted for."""
-    r = domain.status_quo_point
+    cast = tally.cast_total
     result = []
-    for j in range(domain.dimension):
-        ones = Fraction(sum(c for b, c in tally.counts.items() if b[j] == 1))
-        zeros = Fraction(tally.cast_total) - ones
-        if r[j] == 0:
-            result.append(1 if ones > zeros + tally.q else 0)
-        else:
-            result.append(0 if zeros > ones + tally.q else 1)
+    for j, rj in enumerate(domain.status_quo_point):
+        ones = sum(c for b, c in tally.counts.items() if b[j] == 1)
+        lead = (2 * ones - cast) * (1 if rj == 0 else -1)  # the other value's lead over rj
+        result.append(1 - rj if lead > tally.q else rj)
     return tuple(result)
 
 

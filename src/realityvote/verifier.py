@@ -6,7 +6,8 @@ Everything here evaluates the definitions directly on small finite
 instances; the closed-form module is validated against these results, not
 the other way around.  Enumeration is over count tables and ballot-count
 multisets (the binary worst case builds no voter list), which is
-exhaustive because every implemented rule is anonymous.
+exhaustive because every implemented rule is anonymous (the binary worst
+case asks the base side once per distinct question, see min_alpha).
 
 One least-cost search (``_least_cost``) on honest and sybil ballot counts
 answers every reachability question: how many additions does it take to
@@ -19,7 +20,9 @@ itself, one target-first ranking, or, for the status quo under ranking
 ballots, every r-first ranking.  Swapping any added ballot for a support
 ballot never hurts the target, so the restriction loses nothing.  On the
 line the range is an interval, found from sentinel movers
-(``_interval_range``), and the least cost is a bisection over the budget.
+(``_interval_range``): the least cost is a bisection over the budget, and
+a yes/no question at one budget (``_reaches``, as ``is_live`` asks) is one
+range.
 """
 
 from __future__ import annotations
@@ -187,11 +190,7 @@ def _least_cost(
     interval (_interval_range) grows with the budget: bisect over it.
     """
     if domain.kind == "interval":
-
-        def reaches(budget: int) -> bool:
-            lo, hi = _interval_range(mechanism, domain, honest_counts, sybil_counts, budget)
-            return BetweenRegion(kind="interval", lo=lo, hi=hi).contains(target)
-
+        reaches = lambda b: _reaches(mechanism, domain, honest_counts, sybil_counts, target, b)
         least = bisect.bisect_left(range(cap + 1), True, key=reaches)
         return least if least <= cap else None
     ranked = domain.kind == "categorical" and any(isinstance(b, tuple) for b in honest_counts)
@@ -224,6 +223,19 @@ def _least_cost(
                     if rules.evaluate_tally(mechanism, tally, domain) == target:
                         return y
     return None
+
+
+def _reaches(
+    mechanism: Mechanism, domain: DomainSpec, honest_counts: Dict[Ballot, int],
+    sybil_counts: Dict[Ballot, int], target: Ballot, budget: int,
+) -> bool:
+    """Does an honest modification within the budget elect the target?  On
+    the line: does the reachable interval (_interval_range) hold it?"""
+    if domain.kind != "interval":
+        cost = _least_cost(mechanism, domain, honest_counts, sybil_counts, target, budget)
+        return cost is not None
+    lo, hi = _interval_range(mechanism, domain, honest_counts, sybil_counts, budget)
+    return BetweenRegion(kind="interval", lo=lo, hi=hi).contains(target)
 
 
 _BIG_STEP = 1_000_000
@@ -322,7 +334,7 @@ def outcome_range(
 
     reachable = frozenset(
         t for t in domain.alternative_list()
-        if _least_cost(mechanism, domain, honest_counts, sybil_counts, t, budget) is not None
+        if _reaches(mechanism, domain, honest_counts, sybil_counts, t, budget)
     )
     return OutcomeRange(gamma=gamma, budget=budget, kind="finite", reachable=reachable)
 
@@ -452,18 +464,24 @@ def min_alpha(
 ) -> Fraction:
     """Worst case over every profile of the given shape of the minimal safe
     alpha.  Honest actives, passive private votes, and sybil ballots are all
-    enumerated; nothing is assumed about where the worst case lies."""
+    enumerated; nothing is assumed about where the worst case lies.  Each
+    population's outcome z is evaluated, and the base side asked once per
+    (z, base-visible honest counts): within a shape that pair fixes the
+    answer, where k + j would not (an active-only base sees only k)."""
     domain = domain or DomainSpec.binary()
     if domain.kind != "binary":
         raise BudgetExceeded("shape-level worst-case search is binary-only")
     n, s, hm = _shape_counts(shape)
     h_plus = n - s - hm
-    worst = Fraction(0)
+    answers: Dict[tuple, Fraction] = {}
     for k, j, s_p in itertools.product(range(h_plus + 1), range(hm + 1), range(s + 1)):
         counts = _binary_counts(domain, k, h_plus, j, hm, s_p, s)
         z = _binary_outcome(mechanism, domain, counts)
-        worst = max(worst, _least_safe_alpha(base, domain, z, {**counts, VoterClass.SYBIL: {}}))
-    return worst
+        honest = {**counts, VoterClass.SYBIL: {}}
+        key = (z, frozenset(_split(base, honest)[0].items()))
+        if key not in answers:
+            answers[key] = _least_safe_alpha(base, domain, z, honest)
+    return max(answers.values())
 
 
 def visible_honest(mechanism: Mechanism, shape: Tuple[int, Rational, Rational]) -> int:
@@ -473,15 +491,12 @@ def visible_honest(mechanism: Mechanism, shape: Tuple[int, Rational, Rational]) 
     return n - s - hm if mechanism.participation == "active" else n - s
 
 
-def _live_cost(
-    mechanism: Mechanism,
-    shape: Tuple[int, Rational, Rational],
-    target: Ballot,
+def _live_populations(
+    mechanism: Mechanism, shape: Tuple[int, Rational, Rational], target: Ballot,
     domain: Optional[DomainSpec],
-    cap: int,
-) -> Optional[int]:
-    """The most, over sybil placements, of the least cost of reaching the
-    target from the worst-case population, or None above cap.
+) -> Tuple[DomainSpec, Ballot, Dict[Ballot, int], List[Dict[Ballot, int]]]:
+    """The domain, the validated target, the visible honest ballot counts and
+    every sybil placement that can block the target.
 
     Every honest voter starts on the status quo (an r-first ranking for
     Condorcet rules).  On the line both ends of the range are nondecreasing
@@ -499,18 +514,11 @@ def _live_cost(
         if mechanism.base in ("cc", "scc") and domain.kind == "categorical":
             r = (r, *[a for a in candidates if a != r])  # r first, the rest in order
             candidates = tuple(itertools.permutations(candidates))
-        placements = (
+        placements = [
             {c: k for c, k in zip(candidates, combo) if k}
             for combo in _bounded_compositions(s, (s,) * len(candidates))
-        )
-    honest_counts = {r: visible_honest(mechanism, shape)}
-    worst = 0
-    for sybil_counts in placements:
-        cost = _least_cost(mechanism, domain, honest_counts, sybil_counts, target, cap)
-        if cost is None:
-            return None
-        worst = max(worst, cost)
-    return worst
+        ]
+    return domain, target, {r: visible_honest(mechanism, shape)}, placements
 
 
 def is_live(
@@ -521,12 +529,17 @@ def is_live(
     domain: Optional[DomainSpec] = None,
 ) -> bool:
     """Can the honest voters reach the target against every sybil placement
-    within beta times the visible honest count (see _live_cost)?"""
+    (see _live_populations) within beta times the visible honest count?  On
+    the line one range at that budget answers each placement."""
     visible = visible_honest(mechanism, shape)
     beta = as_fraction(beta)
     if beta < 0:
         raise DegenerateParams("beta must be nonnegative")
-    return _live_cost(mechanism, shape, target, domain, int(beta * visible)) is not None
+    domain, target, honest_counts, placements = _live_populations(mechanism, shape, target, domain)
+    return all(
+        _reaches(mechanism, domain, honest_counts, sybils, target, int(beta * visible))
+        for sybils in placements
+    )
 
 
 def smallest_live_beta(
@@ -536,11 +549,16 @@ def smallest_live_beta(
     domain: Optional[DomainSpec] = None,
     max_units: int = 64,
 ) -> Fraction:
-    """Least multiple of 1/(visible honest count) at which is_live holds."""
-    cost = _live_cost(mechanism, shape, target, domain, max_units)
-    if cost is None:
-        raise BudgetExceeded(f"no feasible liveness budget up to {max_units} voters")
-    return Fraction(cost, visible_honest(mechanism, shape))
+    """Least multiple of 1/(visible honest count) at which is_live holds:
+    the most, over sybil placements, of the least cost of the target."""
+    domain, target, honest_counts, placements = _live_populations(mechanism, shape, target, domain)
+    worst = 0
+    for sybils in placements:
+        cost = _least_cost(mechanism, domain, honest_counts, sybils, target, max_units)
+        if cost is None:
+            raise BudgetExceeded(f"no feasible liveness budget up to {max_units} voters")
+        worst = max(worst, cost)
+    return Fraction(worst, visible_honest(mechanism, shape))
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from realityvote.rules import (
     plurality,
     suppress_outer_median,
     supermajority,
+    Tally,
     tally_ballots,
 )
 
@@ -284,6 +285,121 @@ class TestApply:
         electorate = len(visible) if mode == "active" else len(prof.voters)
         want = tally_ballots(visible, q=re_tau * electorate)
         assert build_tally(mech, prof.counts) == want
+
+
+# ---------------------------------------------------------------------------
+# Integer masses against a reference that does all arithmetic in Fractions.
+
+F = Fraction
+CAT2 = DomainSpec.categorical(["p", "r"], "r")
+CUBES = [DomainSpec.hypercube(1, (0,)), DomainSpec.hypercube(2, (0, 1)),
+         DomainSpec.hypercube(3, (1, 0, 0))]
+# Free virtual masses, non-integer ones such as re_tau = 1/3 of a small
+# electorate included; each test adds its rule's knife edge.
+FREE_Q = st.fractions(min_value=0, max_value=6, max_denominator=6)
+
+
+def fraction_mass(counts, a):
+    return F(counts.get(a, 0))
+
+
+def ref_majority(counts, q, domain):
+    r, p = domain.status_quo, domain.proposal
+    return p if fraction_mass(counts, p) > fraction_mass(counts, r) + q else r
+
+
+def ref_supermajority(tau, counts, q, domain):
+    total = sum((F(c) for c in counts.values()), F(0)) + q
+    for a in domain.alternative_list():
+        if a != domain.r and fraction_mass(counts, a) > (F(1, 2) + tau) * total:
+            return a
+    return domain.r
+
+
+def ref_plurality(counts, q, domain):
+    scores = {a: fraction_mass(counts, a) for a in domain.alternative_list()}
+    scores[domain.r] += q
+    top = max(scores.values())
+    if scores[domain.r] == top:
+        return domain.r
+    return next(a for a, score in scores.items() if score == top)
+
+
+def ref_issuewise(counts, q, domain):
+    point = []
+    for j, rj in enumerate(domain.status_quo_point):
+        ones = sum((F(c) for b, c in counts.items() if b[j] == 1), F(0))
+        zeros = sum((F(c) for b, c in counts.items() if b[j] == 0), F(0))
+        if rj == 0:
+            point.append(1 if ones > zeros + q else 0)
+        else:
+            point.append(0 if zeros > ones + q else 1)
+    return tuple(point)
+
+
+def draw_counts(data, domain):
+    counts = {a: data.draw(st.integers(0, 5)) for a in domain.alternative_list()}
+    return {a: c for a, c in counts.items() if c}
+
+
+def draw_q(data, edge):
+    """A free q, or the knife edge where the rule's strict test is an equality."""
+    if edge >= 0 and data.draw(st.booleans()):
+        return edge
+    return data.draw(FREE_Q)
+
+
+class TestIntegerMassesMatchFractionReference:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_majority(self, data):
+        counts = draw_counts(data, BIN)
+        q = draw_q(data, F(counts.get("p", 0) - counts.get("r", 0)))
+        assert majority(Tally(counts, q), BIN) == ref_majority(counts, q, BIN)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_supermajority(self, data):
+        domain = data.draw(st.sampled_from([BIN, CAT, CAT2]))
+        tau = data.draw(st.sampled_from([F(0), F(1, 3), F(2, 5), F(1, 2)]))
+        counts = draw_counts(data, domain)
+        a = data.draw(st.sampled_from([x for x in domain.alternative_list() if x != domain.r]))
+        # q at which a's count equals (1/2 + tau) of the votes seen.
+        q = draw_q(data, fraction_mass(counts, a) / (F(1, 2) + tau) - sum(counts.values()))
+        got = supermajority(tau, Tally(counts, q), domain)
+        assert got == ref_supermajority(tau, counts, q, domain)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_plurality(self, data):
+        domain = data.draw(st.sampled_from([CAT, CAT2]))
+        counts = draw_counts(data, domain)
+        top = max(counts.get(a, 0) for a in domain.alternative_list() if a != domain.r)
+        q = draw_q(data, F(top - counts.get(domain.r, 0)))
+        assert plurality(Tally(counts, q), domain) == ref_plurality(counts, q, domain)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_issuewise_majority(self, data):
+        domain = data.draw(st.sampled_from(CUBES))
+        counts = draw_counts(data, domain)
+        j = data.draw(st.integers(0, domain.dimension - 1))
+        ones = sum(c for b, c in counts.items() if b[j] == 1)
+        lead = 2 * ones - sum(counts.values())  # ones minus zeros on coordinate j
+        q = draw_q(data, F(lead if domain.status_quo_point[j] == 0 else -lead))
+        assert issuewise_majority(Tally(counts, q), domain) == ref_issuewise(counts, q, domain)
+
+    def test_knife_edges_tie_to_the_status_quo(self):
+        # mass(p) - mass(r) == q, and q = 1/3 of a three-voter electorate.
+        assert majority(Tally({"p": 3, "r": 1}, F(2)), BIN) == "r"
+        assert majority(Tally({"p": 2, "r": 1}, F(1)), BIN) == "r"
+        assert majority(Tally({"p": 2, "r": 1}, F(2, 3)), BIN) == "p"
+        assert plurality(Tally({"p": 3, "r": 2}, F(1)), CAT) == "r"
+        assert issuewise_majority(Tally({(1,): 3, (0,): 1}, F(2)), CUBES[0]) == (0,)
+        # 3 > (1/2 + 1/3) * (3 + 2/3) = 55/18 fails by 1/18; q = 3/5 sits on the edge.
+        assert supermajority(F(1, 3), Tally({"p": 3}, F(2, 3)), BIN) == "r"
+        assert supermajority(F(1, 3), Tally({"p": 3}, F(3, 5)), BIN) == "r"
+        assert supermajority(F(1, 3), Tally({"p": 3}, F(1, 2)), BIN) == "p"
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from realityvote import (
     rules,
     smallest_live_beta,
     tightness_witness,
+    verifier,
 )
 from realityvote.errors import (
     BudgetExceeded,
@@ -199,19 +200,28 @@ class TestMinAlpha:
                         assert oracle <= max(F(0), F(math.ceil(t * h), h))
 
     @pytest.mark.parametrize(
-        "mech",
+        "mech, base",
         [
-            *(Mechanism("mj", re_tau=tau, participation="active")
-              for tau in (F(0), F(1, 4), F(1, 2), F(1))),
-            MJ,
-            Mechanism("smj", base_tau=F(1, 4)),
-            Mechanism("smj", base_tau=F(1, 4), participation="active"),
+            pytest.param(
+                mech, base, id=mech.describe() + ("" if base == MJ else f" base:{base.describe()}")
+            )
+            for base in (
+                MJ, Mechanism("mj", participation="active"), Mechanism("smj", base_tau=F(1, 4))
+            )
+            for mech in (
+                *(Mechanism("mj", re_tau=tau, participation="active")
+                  for tau in (F(0), F(1, 4), F(1, 2), F(1))),
+                MJ,
+                Mechanism("smj", base_tau=F(1, 4)),
+                Mechanism("smj", base_tau=F(1, 4), participation="active"),
+            )
         ],
-        ids=Mechanism.describe,
     )
-    def test_count_tables_match_voter_lists(self, mech):
-        # min_alpha walks count tables; the worst case over the same
-        # populations built as voter lists must agree, count for count.
+    def test_count_tables_match_voter_lists(self, mech, base):
+        # min_alpha walks count tables and asks the base side once per
+        # outcome and visible honest counts; the worst case over the same
+        # populations built as voter lists must agree, count for count,
+        # under every base participation (an active-only base sees k alone).
         for n in range(1, 7):
             for s in range(n):
                 for hm in range(n - s):
@@ -227,8 +237,38 @@ class TestMinAlpha:
                         )
                         counts = _binary_counts(prof.domain, k, hp, j, hm, s_p, s)
                         assert counts == prof.counts
-                        worst = max(worst, min_alpha_for_profile(mech, MJ, prof))
-                    assert min_alpha(mech, MJ, (n, F(s, n), F(hm, n))) == worst, (n, s, hm)
+                        worst = max(worst, min_alpha_for_profile(mech, base, prof))
+                    assert min_alpha(mech, base, (n, F(s, n), F(hm, n))) == worst, (n, s, hm)
+
+    @pytest.mark.parametrize(
+        "base", [MJ, MJ_ACTIVE, Mechanism("smj", base_tau=F(1, 4))], ids=Mechanism.describe
+    )
+    def test_base_side_is_asked_once_per_distinct_question(self, base, monkeypatch):
+        # The least-safe-alpha core runs once for each distinct (outcome,
+        # honest ballots on p the base sees) over the shape's populations:
+        # an active-only base sees the k actives, a full one k + j.
+        def seen(k, j):
+            return k if base.participation == "active" else k + j
+
+        core, asked = verifier._least_safe_alpha, []
+
+        def spy(base_, domain, z, honest):
+            asked.append((z, seen(honest[ACTIVE].get("p", 0), honest[PASSIVE].get("p", 0))))
+            return core(base_, domain, z, honest)
+
+        monkeypatch.setattr(verifier, "_least_safe_alpha", spy)
+        mech = Mechanism("mj", re_tau=F(1, 4), participation="active")
+        hp, hm, s = 3, 3, 2
+        questions = {
+            (apply(mech, binary_profile(
+                active="p" * k + "r" * (hp - k),
+                passive="p" * j + "r" * (hm - j),
+                sybil="p" * s_p + "r" * (s - s_p),
+            )), seen(k, j))
+            for k, j, s_p in itertools.product(range(hp + 1), range(hm + 1), range(s + 1))
+        }
+        min_alpha(mech, base, (8, F(s, 8), F(hm, 8)))
+        assert sorted(asked) == sorted(questions)
 
     def test_hypercube_worked_example(self):
         cube = DomainSpec.hypercube(3, (0, 0, 0))
