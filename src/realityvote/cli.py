@@ -86,7 +86,10 @@ def _tally_order(domain, counts):
             counts,
             key=lambda b: (0, order[b]) if b in order else (1, tuple(order[x] for x in b)),
         )
-    return sorted(counts)  # positions and hypercube points sort naturally
+    if domain.kind == "interval":  # on the integer index: exact, and no Fraction compares
+        scale = rules.position_scale(counts)
+        return sorted(counts, key=lambda x: rules.scaled(x, scale))
+    return sorted(counts)  # hypercube points sort naturally
 
 
 def cmd_eval(args) -> int:
@@ -105,14 +108,14 @@ def cmd_eval(args) -> int:
     else:
         from . import proxy
 
-        weights = proxy.delegate(profile, mechanism.re_tau)
+        entities = proxy.delegate(profile, mechanism.re_tau).entities
+        scale = rules.position_scale(e.position for e in entities)
         print("entities:")
-        for entity in sorted(weights.entities, key=lambda e: (e.position, not e.is_status_quo)):
+        for entity in sorted(
+            entities, key=lambda e: (rules.scaled(e.position, scale), not e.is_status_quo)
+        ):
             tag = " (status quo)" if entity.is_status_quo else ""
-            print(
-                f"  {format_rational(entity.position)}: "
-                f"{format_rational(entity.weight)}{tag}"
-            )
+            print(f"  {format_rational(entity.position)}: {format_rational(entity.weight)}{tag}")
     return EXIT_OK
 
 

@@ -3,6 +3,10 @@
 Rationals travel as 'p/q' strings, never floats; the JSON canonicalization
 (sorted keys, compact separators) makes parse/serialize round-trips
 byte-identical.
+
+``profile_from_json`` parses each distinct ballot string once per call, in a
+dict local to the call keyed on strings only (``1 == True`` hash alike); every
+ballot is still checked by ``validate_ballot``.
 """
 
 from __future__ import annotations
@@ -144,16 +148,23 @@ def profile_from_json(text: str) -> Profile:
         domain = _domain_from_json(doc["domain"])
     except KeyError as exc:
         raise InvalidBallot(f"the domain lacks the {exc} field") from None
+    parsed = {}  # ballot string -> its ballot; other raws are parsed each time
     entries = []
     for voter in doc["voters"]:
         if not isinstance(voter, dict):
             raise InvalidBallot(f"a voter entry must be an object, not {voter!r}")
         tag = voter.get("class")
-        if tag not in _TAG_TO_CLASS:
+        cls = _TAG_TO_CLASS.get(tag) if isinstance(tag, str) else None
+        if cls is None:
             raise InvalidBallot(f"unknown voter class {tag!r}")
-        entries.append(
-            (_TAG_TO_CLASS[tag], _ballot_from_json(domain, voter.get("ballot")))
-        )
+        raw = voter.get("ballot")
+        if type(raw) is not str:
+            ballot = _ballot_from_json(domain, raw)
+        else:
+            ballot = parsed.get(raw)
+            if ballot is None:
+                ballot = parsed[raw] = _ballot_from_json(domain, raw)
+        entries.append((cls, ballot))
     return build_profile(domain, entries)
 
 

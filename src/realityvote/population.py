@@ -263,19 +263,23 @@ def build_profile(
     """
     if not entries:
         raise NoActiveHonest("a profile needs at least one voter")
+    categorical = domain.kind == "categorical"
+    validate = domain.validate_ballot
+    sybil, active = VoterClass.SYBIL, VoterClass.HONEST_ACTIVE
     validated = []
-    saw_ranking = False
-    saw_single = False
+    saw_ranking = saw_single = saw_active = False
     for cls, ballot in entries:
         if not isinstance(cls, VoterClass):
             raise PassiveSybil(f"unknown voter class {cls!r}")
-        if cls is VoterClass.SYBIL and ballot is None:
-            raise SybilWithoutBallot("all sybils vote; sybil entry lacks a ballot")
-        if cls is VoterClass.HONEST_ACTIVE and ballot is None:
-            raise InvalidBallot("active honest voters must carry a ballot")
-        if ballot is not None:
-            ballot = domain.validate_ballot(ballot)
-            if domain.kind == "categorical":
+        saw_active = saw_active or cls is active
+        if ballot is None:
+            if cls is sybil:
+                raise SybilWithoutBallot("all sybils vote; sybil entry lacks a ballot")
+            if cls is active:
+                raise InvalidBallot("active honest voters must carry a ballot")
+        else:
+            ballot = validate(ballot)
+            if categorical:
                 if isinstance(ballot, tuple):
                     saw_ranking = True
                 else:
@@ -283,7 +287,7 @@ def build_profile(
         validated.append((cls, ballot))
     if saw_ranking and saw_single:
         raise MixedBallotKind("cannot mix ranking and single-choice ballots")
-    if not any(cls is VoterClass.HONEST_ACTIVE for cls, _ in validated):
+    if not saw_active:
         raise NoActiveHonest("at least one honest voter must be active")
     return Profile(domain=domain, voters=tuple(validated))
 

@@ -181,15 +181,16 @@ class _ProxyIndex:
         honest: List[Fraction] = []
         sybils: List[Fraction] = []
         self.active: List[int] = []
+        sybil, active = VoterClass.SYBIL, VoterClass.HONEST_ACTIVE
         for cls, ballot in profile.voters:
-            if cls is VoterClass.SYBIL:
+            if cls is sybil:
                 sybils.append(ballot)
                 continue
             if ballot is None:
                 raise MissingPrivateBallots(
                     "delegation needs every passive voter's position"
                 )
-            if cls is VoterClass.HONEST_ACTIVE:
+            if cls is active:
                 self.active.append(len(honest))
             honest.append(ballot)
         self.r = r
@@ -370,9 +371,10 @@ def delegate(
         previous = cut
 
     entities: List[ProxyEntity] = []
+    passive, scale = VoterClass.HONEST_PASSIVE, index.scale
     for cls, ballot in profile.voters:
-        if cls is not VoterClass.HONEST_PASSIVE:
-            extra = followers.pop(rules.scaled(ballot, index.scale), 0)
+        if cls is not passive:
+            extra = followers.pop(rules.scaled(ballot, scale), 0)
             entities.append(ProxyEntity(position=ballot, weight=Fraction(1 + extra)))
     if include_status_quo:
         base = Fraction(1) if r_unit_weight else Fraction(0)

@@ -67,11 +67,20 @@ BALLOTS_PER_DOMAIN = [
 ]
 
 
+# Interval domains with a small pool of mixed-denominator positions, so
+# that positions repeat.
+_POSITIONS = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 5, 7]))
+MIXED_INTERVALS = st.tuples(
+    st.builds(DomainSpec.interval, _POSITIONS), st.lists(_POSITIONS, min_size=1, max_size=4)
+)
+
+
 @st.composite
-def profiles(draw, max_voters=12):
-    """Profiles over every domain kind, in any voter order; passive voters
-    carry a private ballot or none."""
-    domain, choices = draw(st.sampled_from(BALLOTS_PER_DOMAIN))
+def profiles(draw, max_voters=12, domains=st.sampled_from(BALLOTS_PER_DOMAIN)):
+    """Profiles over every domain kind (or the given (domain, ballots)
+    strategy), in any voter order; passive voters carry a private ballot or
+    none."""
+    domain, choices = draw(domains)
     ballot = st.sampled_from(choices)
     voter = st.one_of(
         st.tuples(st.sampled_from([ACTIVE, SYBIL]), ballot),
@@ -79,3 +88,4 @@ def profiles(draw, max_voters=12):
     )
     voters = [(ACTIVE, draw(ballot))] + draw(st.lists(voter, max_size=max_voters - 1))
     return build_profile(domain, draw(st.permutations(voters)))
+

@@ -2,6 +2,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from realityvote import DomainSpec, build_profile
 from realityvote.cli import main, parse_mechanism
@@ -13,8 +15,18 @@ from realityvote.formats import (
     write_frontier_csv,
 )
 from realityvote.guarantees import Setting
+from realityvote.population import format_rational
+from realityvote.proxy import delegate
 
-from conftest import ACTIVE, PASSIVE, SYBIL, binary_profile, interval_profile
+from conftest import (
+    ACTIVE,
+    MIXED_INTERVALS,
+    PASSIVE,
+    SYBIL,
+    binary_profile,
+    interval_profile,
+    profiles,
+)
 
 F = Fraction
 
@@ -94,6 +106,7 @@ class TestProfileFormat:
 
     CUBE = {"kind": "hypercube", "d": 2, "r": [0, 0]}
     BIN = {"kind": "binary", "r": "r", "p": "p"}
+    INTERVAL = {"kind": "interval", "r": "0"}
 
     @pytest.mark.parametrize(
         "domain, ballot, extra",
@@ -124,6 +137,12 @@ class TestProfileFormat:
             pytest.param(BIN, "r", {"format": "realityvote/profile/v2"}, id="format-tag"),
             pytest.param(BIN, "r", {"voters": ["honest_active"]}, id="voter-string"),
             pytest.param(BIN, "r", {"voters": {"class": "sybil"}}, id="voters-object"),
+            pytest.param(
+                BIN, "r", {"voters": [{"class": ["sybil"], "ballot": "r"}]}, id="class-list"
+            ),
+            pytest.param(
+                BIN, "r", {"voters": [{"class": {"a": 1}, "ballot": "r"}]}, id="class-object"
+            ),
         ],
     )
     def test_malformed_profile_is_input_error(self, domain, ballot, extra, tmp_path, capsys):
@@ -133,6 +152,39 @@ class TestProfileFormat:
         path.write_text(json.dumps(doc))
         assert main(["eval", "--profile", str(path), "--mechanism", "mj"]) == 2
         assert "error (input)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "domain, ballots",
+        [
+            pytest.param(INTERVAL, ["1/2", "1/2", True], id="interval-bool"),
+            pytest.param(INTERVAL, ["3", 3, 3.0], id="interval-float"),
+            pytest.param(INTERVAL, ["1/2", "1/2", [1]], id="interval-list"),
+            pytest.param(BIN, ["r", "r", 1], id="binary-int"),
+            pytest.param(CUBE, [[1, 0], [1, 0], [True, 0]], id="hypercube-bool"),
+        ],
+    )
+    def test_repeated_raws_keep_every_check(self, domain, ballots, tmp_path, capsys):
+        """Valid repeats of a raw before a bad one: each string is parsed once
+        per file, yet every ballot is still checked."""
+        voters = [{"class": "honest_active", "ballot": b} for b in ballots]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"domain": domain, "voters": voters}))
+        assert main(["eval", "--profile", str(path), "--mechanism", "mj"]) == 2
+        assert "error (input)" in capsys.readouterr().err
+
+    def test_repeated_strings_load_as_their_fractions(self):
+        classes = ["honest_active", "honest_active", "honest_passive", "sybil"]
+        voters = [{"class": c, "ballot": "1/2"} for c in classes]
+        loaded = profile_from_json(json.dumps({"domain": self.INTERVAL, "voters": voters}))
+        half = F(1, 2)
+        assert loaded == interval_profile(0, active=(half, half), passive=(half,), sybil=(half,))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.one_of(profiles(), profiles(domains=MIXED_INTERVALS)))
+    def test_round_trips(self, prof):
+        text = profile_to_json(prof)
+        assert profile_from_json(text) == prof
+        assert profile_to_json(profile_from_json(text)) == text
 
     def test_format_tag_is_optional(self):
         doc = json.loads(profile_to_json(binary_profile(active="rp")))
@@ -145,6 +197,23 @@ class TestProfileFormat:
         text = profile_to_json(prof)
         assert "2/7" in text and "1/3" in text
         assert profile_from_json(text) == prof
+
+
+# A small interval profile for the eval order: negative and mixed-denominator
+# positions, repeats, and an active voter sitting on r = 1/3.
+ORDER_POP = interval_profile(
+    F(1, 3),
+    active=(F(5, 7), F(1, 3), F(-2, 3), 0, F(1, 2), F(5, 7)),
+    passive=(F(-1, 5), F(3, 5), F(1, 4), 1),
+    sybil=(F(1, 2), F(-2, 3)),
+)
+
+
+def _block(out: str, header: str):
+    """The (label, value) pairs of the indented block under a header line."""
+    lines = out.splitlines()
+    block = lines[lines.index(header) + 1:]
+    return [tuple(line.strip().split(": ", 1)) for line in block if line.startswith("  ")]
 
 
 class TestEval:
@@ -176,6 +245,35 @@ class TestEval:
         path = tmp_path / "both.json"
         path.write_text(json.dumps({"domain": PARTIAL_POP["domain"], "voters": voters}))
         assert main(["eval", "--profile", str(path), "--mechanism", "md"]) == 3
+
+    @pytest.fixture
+    def order_file(self, tmp_path):
+        path = tmp_path / "order.json"
+        path.write_text(profile_to_json(ORDER_POP))
+        return str(path)
+
+    @pytest.mark.parametrize("spec", ["md re:1/5 mode:active", "som:1/5 mode:active"])
+    def test_tally_lines_ascend(self, order_file, spec, capsys):
+        assert main(["eval", "--profile", order_file, "--mechanism", spec]) == 0
+        visible = [b for cls, b in ORDER_POP.voters if cls is not PASSIVE]
+        expected = [(format_rational(x), str(visible.count(x))) for x in sorted(set(visible))]
+        assert _block(capsys.readouterr().out, "tally:") == expected
+
+    def test_proxy_entities_ascend_status_quo_first(self, order_file, capsys):
+        assert main(["eval", "--profile", order_file, "--mechanism", "md re:1/5 mode:proxy"]) == 0
+        entities = delegate(ORDER_POP, F(1, 5)).entities
+        ordered = sorted(entities, key=lambda e: (e.position, not e.is_status_quo))
+        expected = [
+            (
+                format_rational(e.position),
+                format_rational(e.weight) + (" (status quo)" if e.is_status_quo else ""),
+            )
+            for e in ordered
+        ]
+        lines = _block(capsys.readouterr().out, "entities:")
+        assert lines == expected
+        on_r = [value for label, value in lines if label == "1/3"]
+        assert len(on_r) == 2 and on_r[0].endswith("(status quo)")
 
 
 class TestFrontier:

@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from realityvote.errors import (
     MixedBallotKind,
     NoActiveHonest,
     PassiveSybil,
+    RealityVoteError,
     SybilWithoutBallot,
 )
 from realityvote.population import NonatomicProfile, VoterClass
@@ -61,6 +63,31 @@ class TestBuildProfile:
         domain = DomainSpec.categorical(["r", "a", "b"], "r")
         with pytest.raises(MixedBallotKind):
             build_profile(domain, [(ACTIVE, "a"), (ACTIVE, ("a", "b", "r"))])
+
+    # One bad entry per per-entry check, each raising its own exception.
+    BAD_ENTRIES = {
+        PassiveSybil: ("passive_sybil", "p"),
+        SybilWithoutBallot: (SYBIL, None),
+        InvalidBallot: (PASSIVE, "q"),
+    }
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(BAD_ENTRIES)))
+    @pytest.mark.parametrize("with_active", [True, False])
+    def test_first_bad_entry_decides(self, order, with_active):
+        """Several bad entries: the first one decides the exception, whether
+        or not an active honest voter comes after it."""
+        entries = [(PASSIVE, "r")] + [self.BAD_ENTRIES[error] for error in order]
+        entries += [(ACTIVE, None), (ACTIVE, "r")] if with_active else [(SYBIL, "p")]
+        with pytest.raises(RealityVoteError) as info:
+            build_profile(DomainSpec.binary(), entries)
+        assert type(info.value) is order[0]
+
+    def test_no_active_honest_comes_after_every_entry_check(self):
+        domain = DomainSpec.binary()
+        with pytest.raises(InvalidBallot):
+            build_profile(domain, [(PASSIVE, "r"), (SYBIL, "p"), (ACTIVE, None)])
+        with pytest.raises(NoActiveHonest):
+            build_profile(domain, [(PASSIVE, "r"), (SYBIL, "p"), (PASSIVE, None)])
 
     def test_passive_may_omit_ballot(self):
         p = build_profile(DomainSpec.binary(), [(ACTIVE, "r"), (PASSIVE, None)])
