@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from fractions import Fraction
 from typing import List, Optional
@@ -31,6 +32,9 @@ EXIT_INPUT = 2
 EXIT_DOMAIN = 3
 EXIT_BUDGET = 4
 EXIT_GATE = 5
+
+ENUM_CAP_ENV = "REALITYVOTE_ENUM_CAP"
+DEFAULT_ENUM_CAP = 10
 
 _SETTINGS = {
     "arbitrary": Setting.ARBITRARY_BINARY,
@@ -150,12 +154,22 @@ def _oracle_tau(mechanism: Mechanism) -> Fraction:
     return mechanism.base_tau if mechanism.base == "smj" else mechanism.re_tau
 
 
+def enumeration_cap() -> int:
+    """Instance-size cap for the exhaustive commands, env-overridable."""
+    raw = os.environ.get(ENUM_CAP_ENV)
+    if raw is None:
+        return DEFAULT_ENUM_CAP
+    try:
+        return int(raw)
+    except ValueError:
+        raise BudgetExceeded(f"bad {ENUM_CAP_ENV} value {raw!r}") from None
+
+
 def cmd_oracle(args) -> int:
     n, sigma, mu = _parse_shape(args.shape)
-    if n > verifier.enumeration_cap():
+    if n > enumeration_cap():
         raise BudgetExceeded(
-            f"n={n} above the enumeration cap {verifier.enumeration_cap()} "
-            f"(override with {verifier.ENUM_CAP_ENV})"
+            f"n={n} above the enumeration cap {enumeration_cap()} (override with {ENUM_CAP_ENV})"
         )
     mechanism = parse_mechanism(args.mechanism)
     base = parse_mechanism(args.base) if args.base else Mechanism(base="mj")
@@ -211,37 +225,29 @@ def cmd_simulate(args) -> int:
         else [args.n_plus]
     )
     ok = True
+    whp = args.kind == "whp"  # else proxy or hoeffding
+    base, mode, alpha_prime = (
+        ("mj", "active", args.alpha_prime) if whp else ("md", "proxy", args.c)
+    )
     for n_plus in n_grid:
-        if args.kind == "whp":
-            mech = Mechanism(
-                base="mj", re_tau=Fraction(args.tau), participation="active"
-            )
-            exp = montecarlo.Experiment(
-                profile=template,
-                mechanism=mech,
-                base=Mechanism(base="mj"),
-                alpha_prime=Fraction(args.alpha_prime),
-                trials=args.trials,
-                seed=args.seed,
-                n_plus=n_plus,
-            )
-            stats = montecarlo.run_safety_whp(exp)
-        elif args.kind == "proxy":
-            mech = Mechanism(base="md", re_tau=Fraction(args.tau), participation="proxy")
-            exp = montecarlo.Experiment(
-                profile=template,
-                mechanism=mech,
-                base=Mechanism(base="md"),
-                alpha_prime=Fraction(args.c),
-                trials=args.trials,
-                seed=args.seed,
-                n_plus=n_plus,
-            )
-            stats = montecarlo.run_proxy_whp(exp, Fraction(args.c))
-        else:  # hoeffding
+        if args.kind == "hoeffding":
             stats = montecarlo.hoeffding_diagnostic(
                 template, n_plus, Fraction(args.epsilon), args.trials, args.seed
             )
+        else:
+            exp = montecarlo.Experiment(
+                profile=template,
+                mechanism=Mechanism(base=base, re_tau=Fraction(args.tau), participation=mode),
+                base=Mechanism(base=base),
+                alpha_prime=Fraction(alpha_prime),
+                trials=args.trials,
+                seed=args.seed,
+                n_plus=n_plus,
+            )
+            if whp:
+                stats = montecarlo.run_safety_whp(exp)
+            else:
+                stats = montecarlo.run_proxy_whp(exp, Fraction(args.c))
         _print_stats(f"{args.kind} n+={n_plus}", stats)
         ok = ok and stats.passes_gate()
         rows.append(

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -37,6 +38,7 @@ _CLASS_TO_TAG = {
     VoterClass.SYBIL: "sybil",
 }
 _TAG_TO_CLASS = {tag: cls for cls, tag in _CLASS_TO_TAG.items()}
+_RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")  # [0-9]: ASCII digits only
 
 
 def _domain_to_json(domain: DomainSpec) -> dict:
@@ -74,9 +76,12 @@ def _point(raw) -> Tuple[int, ...]:
 
 
 def _position(raw) -> Fraction:
-    ok = isinstance(raw, str) or type(raw) is int
-    _require(ok, f"positions are exact 'p/q' strings, not {raw!r}")
-    return Fraction(raw)
+    if type(raw) is int:  # not bool
+        return Fraction(raw)
+    match = _RATIO.fullmatch(raw) if isinstance(raw, str) else None
+    denominator = int(match[2] or 1) if match else 0
+    _require(denominator != 0, f"positions are exact 'p/q' strings, not {raw!r}")
+    return Fraction(int(match[1]), denominator)
 
 
 def _domain_from_json(doc: dict) -> DomainSpec:

@@ -30,13 +30,66 @@ class Setting(enum.Enum):
 _RANDOM = (Setting.RANDOM_NONATOMIC, Setting.RANDOM_FINITE)
 
 
-def _check_params(sigma: Fraction, mu: Fraction, tau: Fraction = Fraction(0)):
+def _checked(
+    sigma: Rational, mu: Rational, tau: Rational = 0, name: str = "tau"
+) -> Tuple[Fraction, Fraction, Fraction]:
+    """The parameters as Fractions, once every one is checked; ``name`` is
+    what the nonnegative third one is called in the error."""
+    sigma, mu, tau = as_fraction(sigma), as_fraction(mu), as_fraction(tau)
     if not (0 <= sigma < 1 and 0 <= mu < 1):
         raise DegenerateParams("sigma and mu must lie in [0, 1)")
     if sigma + mu >= 1:
         raise DegenerateParams("sigma + mu must stay below 1")
     if tau < 0:
-        raise DegenerateParams("tau must be nonnegative")
+        raise DegenerateParams(f"{name} must be nonnegative")
+    return sigma, mu, tau
+
+
+def _tau_weight(setting: Setting) -> int:
+    """How many times a formula counts tau: twice under the supermajority
+    rule on many alternatives, once in every other setting."""
+    return 2 if setting is Setting.MULTI_ALT_SMJ else 1
+
+
+def _alpha_star(setting: Setting, sigma: Fraction, mu: Fraction, tau: Fraction) -> Fraction:
+    if setting in _RANDOM:
+        value = (sigma - tau * (1 - mu)) * (1 - sigma) / (2 * (1 - mu - sigma))
+    elif setting is Setting.PROXY_INTERVAL:  # mu plays no role
+        value = (sigma - tau) / (2 * (1 - sigma))
+    else:
+        value = (1 + sigma - (1 + _tau_weight(setting) * tau) * (1 - mu)) / (2 * (1 - sigma))
+    return max(Fraction(0), value)
+
+
+def _beta_star(setting: Setting, sigma: Fraction, mu: Fraction, tau: Fraction) -> Fraction:
+    if setting is Setting.PROXY_INTERVAL:
+        return (1 + tau) / (2 * (1 - sigma))
+    return (1 - mu) * (1 + _tau_weight(setting) * tau) / (2 * (1 - sigma - mu))
+
+
+def _tau_for(setting: Setting, sigma: Fraction, mu: Fraction, alpha: Fraction) -> Fraction:
+    """_alpha_star inverted in tau, unclamped."""
+    if setting in _RANDOM:
+        return (sigma - 2 * alpha * (1 - mu - sigma) / (1 - sigma)) / (1 - mu)
+    if setting is Setting.PROXY_INTERVAL:
+        return sigma - 2 * alpha * (1 - sigma)
+    return ((1 + sigma - 2 * alpha * (1 - sigma)) / (1 - mu) - 1) / _tau_weight(setting)
+
+
+def _window(
+    setting: Setting, sigma: Fraction, mu: Fraction
+) -> Optional[Tuple[Fraction, Fraction]]:
+    """[tau_lo, tau_hi): tau_lo buys 0-safety, and _beta_star reaches 1 at tau_hi."""
+    if setting is Setting.PROXY_INTERVAL:
+        tau_lo, tau_hi = sigma, 1 - 2 * sigma
+    else:
+        tau_hi = 2 * (1 - sigma - mu) / (1 - mu) - 1
+        if setting in _RANDOM:
+            tau_lo = sigma / (1 - mu)
+        else:
+            weight = _tau_weight(setting)
+            tau_lo, tau_hi = ((1 + sigma) / (1 - mu) - 1) / weight, tau_hi / weight
+    return (tau_lo, tau_hi) if tau_lo < tau_hi else None
 
 
 def safety_threshold(
@@ -47,17 +100,7 @@ def safety_threshold(
     In the proxy and random-finite settings the guarantee is with high
     probability over the participation draw (see ``safety_is_whp``).
     """
-    sigma, mu, tau = as_fraction(sigma), as_fraction(mu), as_fraction(tau)
-    _check_params(sigma, mu, tau)
-    if setting is Setting.ARBITRARY_BINARY:
-        value = (1 + sigma - (1 + tau) * (1 - mu)) / (2 * (1 - sigma))
-    elif setting in _RANDOM:
-        value = (sigma - tau * (1 - mu)) * (1 - sigma) / (2 * (1 - mu - sigma))
-    elif setting is Setting.MULTI_ALT_SMJ:
-        value = (1 + sigma - (1 + 2 * tau) * (1 - mu)) / (2 * (1 - sigma))
-    else:  # proxy interval; mu plays no role
-        value = (sigma - tau) / (2 * (1 - sigma))
-    return max(Fraction(0), value)
+    return _alpha_star(setting, *_checked(sigma, mu, tau))
 
 
 def safety_is_whp(setting: Setting) -> bool:
@@ -68,13 +111,7 @@ def liveness_threshold(
     setting: Setting, sigma: Rational, mu: Rational, tau: Rational
 ) -> Fraction:
     """Infimum beta: the mechanism is beta-live for every beta strictly above."""
-    sigma, mu, tau = as_fraction(sigma), as_fraction(mu), as_fraction(tau)
-    _check_params(sigma, mu, tau)
-    if setting is Setting.MULTI_ALT_SMJ:
-        return (1 - mu) * (1 + 2 * tau) / (2 * (1 - sigma - mu))
-    if setting is Setting.PROXY_INTERVAL:
-        return (1 + tau) / (2 * (1 - sigma))
-    return (1 - mu) * (1 + tau) / (2 * (1 - sigma - mu))
+    return _beta_star(setting, *_checked(sigma, mu, tau))
 
 
 @dataclass(frozen=True)
@@ -97,25 +134,6 @@ class GuaranteeReport:
     impossibility: bool
 
 
-def _zero_safe_one_live_interval(
-    setting: Setting, sigma: Fraction, mu: Fraction
-) -> Optional[Tuple[Fraction, Fraction]]:
-    if setting in (Setting.ARBITRARY_BINARY, Setting.MULTI_ALT_SMJ):
-        tau_lo = (1 + sigma) / (1 - mu) - 1
-        tau_hi = 2 * (1 - sigma - mu) / (1 - mu) - 1
-        if setting is Setting.MULTI_ALT_SMJ:
-            tau_lo, tau_hi = tau_lo / 2, tau_hi / 2
-    elif setting in _RANDOM:
-        tau_lo = sigma / (1 - mu)
-        tau_hi = 2 * (1 - sigma - mu) / (1 - mu) - 1
-    else:  # proxy
-        tau_lo = sigma
-        tau_hi = 1 - 2 * sigma
-    if tau_lo < tau_hi:
-        return (tau_lo, tau_hi)
-    return None
-
-
 def feasibility(setting: Setting, sigma: Rational, mu: Rational) -> GuaranteeReport:
     """Can the reality-enforcing parameter buy 0-safety and 1-liveness at once?
 
@@ -124,9 +142,8 @@ def feasibility(setting: Setting, sigma: Rational, mu: Rational) -> GuaranteeRep
     multiplied by 1 - mu > 0, tau_lo < tau_hi is the negation of each.  The
     report is evaluated at tau_lo when the window is nonempty, else at 0.
     """
-    sigma, mu = as_fraction(sigma), as_fraction(mu)
-    _check_params(sigma, mu)
-    window = _zero_safe_one_live_interval(setting, sigma, mu)
+    sigma, mu, _ = _checked(sigma, mu)
+    window = _window(setting, sigma, mu)
     return report(setting, sigma, mu, max(Fraction(0), window[0]) if window else 0)
 
 
@@ -135,36 +152,23 @@ def required_tau(
 ) -> Fraction:
     """Minimal tau achieving the requested safety level, by inverting the
     safety threshold; clamped at 0 and nonincreasing in the target."""
-    sigma, mu = as_fraction(sigma), as_fraction(mu)
-    alpha_target = as_fraction(alpha_target)
-    _check_params(sigma, mu)
-    if alpha_target < 0:
-        raise DegenerateParams("alpha target must be nonnegative")
-    if setting is Setting.ARBITRARY_BINARY:
-        tau = (1 + sigma - 2 * alpha_target * (1 - sigma)) / (1 - mu) - 1
-    elif setting in _RANDOM:
-        tau = (sigma - 2 * alpha_target * (1 - mu - sigma) / (1 - sigma)) / (1 - mu)
-    elif setting is Setting.MULTI_ALT_SMJ:
-        tau = ((1 + sigma - 2 * alpha_target * (1 - sigma)) / (1 - mu) - 1) / 2
-    else:
-        tau = sigma - 2 * alpha_target * (1 - sigma)
-    return max(Fraction(0), tau)
+    sigma, mu, alpha_target = _checked(sigma, mu, alpha_target, "alpha target")
+    return max(Fraction(0), _tau_for(setting, sigma, mu, alpha_target))
 
 
 def report(
     setting: Setting, sigma: Rational, mu: Rational, tau: Rational
 ) -> GuaranteeReport:
     """Full report for one parameter triple (window: see feasibility)."""
-    sigma, mu, tau = as_fraction(sigma), as_fraction(mu), as_fraction(tau)
-    _check_params(sigma, mu, tau)
-    window = _zero_safe_one_live_interval(setting, sigma, mu)
+    sigma, mu, tau = _checked(sigma, mu, tau)
+    window = _window(setting, sigma, mu)
     return GuaranteeReport(
         setting=setting,
         sigma=sigma,
         mu=mu,
         tau=tau,
-        alpha_star=safety_threshold(setting, sigma, mu, tau),
-        beta_star=liveness_threshold(setting, sigma, mu, tau),
+        alpha_star=_alpha_star(setting, sigma, mu, tau),
+        beta_star=_beta_star(setting, sigma, mu, tau),
         alpha_is_whp=safety_is_whp(setting),
         feasible_tau=window,
         impossibility=window is None,

@@ -82,8 +82,18 @@ class TrialStats:
         return float(self.empirical_rate) <= self.bound_value + 3 * self.standard_error
 
 
-def _binomial_se(bound: float, trials: int) -> float:
-    return math.sqrt(max(bound * (1.0 - bound), 0.0) / trials)
+def _trial_stats(
+    violations: int, trials: int, bound: float, y_failures: Optional[int] = None
+) -> TrialStats:
+    """The tally with its empirical rate and the bound's binomial standard error."""
+    return TrialStats(
+        violation_count=violations,
+        trials=trials,
+        empirical_rate=Fraction(violations, trials),
+        bound_value=bound,
+        standard_error=math.sqrt(max(bound * (1.0 - bound), 0.0) / trials),
+        y_failure_count=y_failures,
+    )
 
 
 def _trial_seed(seed: int, trial: int) -> np.random.SeedSequence:
@@ -132,18 +142,12 @@ def run_safety_whp(exp: Experiment) -> TrialStats:
         )
         if not region.contains(verifier._binary_outcome(exp.mechanism, domain, trial)):
             violations += 1
-    return TrialStats(
-        violation_count=violations,
-        trials=exp.trials,
-        empirical_rate=Fraction(violations, exp.trials),
-        bound_value=bound,
-        standard_error=_binomial_se(bound, exp.trials),
-    )
+    return _trial_stats(violations, exp.trials, bound)
 
 
 def run_proxy_whp(exp: Experiment, c: Rational) -> TrialStats:
     """Proxy-delegation trials: violation when the proxy median leaves the
-    safety region for budget alpha' = c + max(0, (sigma - tau)/(2(1-sigma))).
+    safety region for budget alpha' = c plus the proxy safety threshold.
 
     Also tallies how often the good event fails: the passive stretch from
     the all-active counterfactual outcome to the next active honest voter
@@ -157,7 +161,7 @@ def run_proxy_whp(exp: Experiment, c: Rational) -> TrialStats:
         raise DegenerateParams("proxy experiments run on the interval domain")
     sigma = exp.profile.sigma
     tau = exp.mechanism.re_tau
-    alpha_prime = c + max(Fraction(0), (sigma - tau) / (2 * (1 - sigma)))
+    alpha_prime = c + safety_threshold(Setting.PROXY_INTERVAL, sigma, 0, tau)
 
     region = verifier.outcome_range(
         exp.base, verifier.honest_only(exp.profile), alpha_prime
@@ -176,14 +180,7 @@ def run_proxy_whp(exp: Experiment, c: Rational) -> TrialStats:
             violations += 1
         if analysis.j_hat > c * h:
             y_failures += 1
-    return TrialStats(
-        violation_count=violations,
-        trials=exp.trials,
-        empirical_rate=Fraction(violations, exp.trials),
-        bound_value=bound,
-        standard_error=_binomial_se(bound, exp.trials),
-        y_failure_count=y_failures,
-    )
+    return _trial_stats(violations, exp.trials, bound, y_failures)
 
 
 def hoeffding_diagnostic(
@@ -211,11 +208,4 @@ def hoeffding_diagnostic(
         active_p >= cutoff
         for active_p in _supporter_draws(honest_p, honest, n_plus, trials, seed)
     )
-    bound = math.exp(-2 * float(epsilon) ** 2 * n_plus)
-    return TrialStats(
-        violation_count=overshoots,
-        trials=trials,
-        empirical_rate=Fraction(overshoots, trials),
-        bound_value=bound,
-        standard_error=_binomial_se(bound, trials),
-    )
+    return _trial_stats(overshoots, trials, math.exp(-2 * float(epsilon) ** 2 * n_plus))

@@ -224,11 +224,6 @@ class Profile:
         return sum(self.counts[VoterClass.HONEST_PASSIVE].values())
 
     @property
-    def n_visible(self) -> int:
-        """Active voters: honest actives plus sybils."""
-        return self.n_active_honest + self.n_sybil
-
-    @property
     def sigma(self) -> Fraction:
         return Fraction(self.n_sybil, self.n)
 
@@ -368,21 +363,3 @@ class NonatomicProfile:
     @property
     def visible_mass(self) -> Fraction:
         return self.participation * self.honest_mass + self.sigma
-
-    @staticmethod
-    def from_profile(profile: Profile) -> "NonatomicProfile":
-        """Finite-profile counterpart: masses are the exact count fractions."""
-        if profile.domain.kind != "binary":
-            raise InvalidBallot("nonatomic populations are binary only")
-        if not profile.has_full_honest_ballots():
-            raise InvalidBallot("passive voters need private ballots here")
-        honest = ballot_counts(profile.counts, HONEST_CLASSES)
-        sybil = profile.counts[VoterClass.SYBIL]
-        r, p, n = profile.domain.status_quo, profile.domain.proposal, profile.n
-        return NonatomicProfile(
-            h_r=Fraction(honest.get(r, 0), n),
-            h_p=Fraction(honest.get(p, 0), n),
-            s_r=Fraction(sybil.get(r, 0), n),
-            s_p=Fraction(sybil.get(p, 0), n),
-            participation=profile.phi,
-        )

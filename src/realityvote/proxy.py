@@ -52,13 +52,6 @@ class DelegationWeights:
 
     entities: Tuple[ProxyEntity, ...]
 
-    @property
-    def total_weight(self) -> Fraction:
-        return sum(e.weight for e in self.entities)
-
-    def entries(self) -> List[Tuple[Fraction, Fraction]]:
-        return [(e.position, e.weight) for e in self.entities]
-
 
 @dataclass(frozen=True)
 class ProxyAnalysis:

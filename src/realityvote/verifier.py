@@ -30,7 +30,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
@@ -62,20 +61,7 @@ from .population import (
 )
 from .rules import Mechanism, Tally
 
-ENUM_CAP_ENV = "REALITYVOTE_ENUM_CAP"
-DEFAULT_ENUM_CAP = 10
 _WORK_LIMIT = 5_000_000  # tallies per reachability search before giving up
-
-
-def enumeration_cap() -> int:
-    """Instance-size cap for the exhaustive commands, env-overridable."""
-    raw = os.environ.get(ENUM_CAP_ENV)
-    if raw is None:
-        return DEFAULT_ENUM_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise BudgetExceeded(f"bad {ENUM_CAP_ENV} value {raw!r}") from None
 
 
 @dataclass(frozen=True)
@@ -457,20 +443,15 @@ def _binary_outcome(mechanism: Mechanism, domain: DomainSpec, counts: CountTable
 
 
 def min_alpha(
-    mechanism: Mechanism,
-    base: Mechanism,
-    shape: Tuple[int, Rational, Rational],
-    domain: Optional[DomainSpec] = None,
+    mechanism: Mechanism, base: Mechanism, shape: Tuple[int, Rational, Rational]
 ) -> Fraction:
-    """Worst case over every profile of the given shape of the minimal safe
-    alpha.  Honest actives, passive private votes, and sybil ballots are all
-    enumerated; nothing is assumed about where the worst case lies.  Each
+    """Worst case over every binary profile of the given shape of the minimal
+    safe alpha.  Honest actives, passive private votes, and sybil ballots are
+    all enumerated; nothing is assumed about where the worst case lies.  Each
     population's outcome z is evaluated, and the base side asked once per
     (z, base-visible honest counts): within a shape that pair fixes the
     answer, where k + j would not (an active-only base sees only k)."""
-    domain = domain or DomainSpec.binary()
-    if domain.kind != "binary":
-        raise BudgetExceeded("shape-level worst-case search is binary-only")
+    domain = DomainSpec.binary()
     n, s, hm = _shape_counts(shape)
     h_plus = n - s - hm
     answers: Dict[tuple, Fraction] = {}
@@ -693,9 +674,11 @@ def nonatomic_eval(profile: NonatomicProfile, tau: Rational) -> str:
     return "p" if p_mass > r_mass else "r"
 
 
-def replay_witness(witness: AdversarialWitness, tau: Rational = 0, alpha: Rational = 0) -> bool:
+def replay_witness(witness: AdversarialWitness, tau: Rational = 0) -> bool:
     """Re-run a witness through the rules: confirm it exhibits the violation
-    it claims.  Returns True when the construction checks out."""
+    it claims.  Returns True when the construction checks out.  ``tau``
+    applies to the pair constructions only: the knife edge replays at the tau
+    and alpha it was built for."""
     if witness.construction == "safety-knife-edge":
         tau, alpha = witness.params["tau"], witness.params["alpha"]
         mech = Mechanism(base="mj", re_tau=tau, participation="active")

@@ -75,6 +75,19 @@ class TestMechanismSpec:
         assert "takes no threshold" in capsys.readouterr().err
 
 
+# Position strings outside -?[0-9]+(/[0-9]+)? with a nonzero denominator.
+BAD_POSITIONS = {
+    "exponent": " 1e-1 ",
+    "decimal": "1.5",
+    "underscore": "2_0",
+    "plus": "+1",
+    "non-ascii-digit": "\u0663",
+    "zero-denominator": "1/0",
+    "signed-denominator": "1/-2",
+    "empty": "",
+}
+
+
 class TestProfileFormat:
     def test_round_trip_is_byte_identical(self, delegation_population):
         text = profile_to_json(delegation_population)
@@ -143,6 +156,14 @@ class TestProfileFormat:
             pytest.param(
                 BIN, "r", {"voters": [{"class": {"a": 1}, "ballot": "r"}]}, id="class-object"
             ),
+            *[
+                pytest.param({"kind": "interval", "r": raw}, "1", {}, id=f"r-{name}")
+                for name, raw in BAD_POSITIONS.items()
+            ],
+            *[
+                pytest.param({"kind": "interval", "r": "0"}, raw, {}, id=f"ballot-{name}")
+                for name, raw in BAD_POSITIONS.items()
+            ],
         ],
     )
     def test_malformed_profile_is_input_error(self, domain, ballot, extra, tmp_path, capsys):

@@ -1,10 +1,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from realityvote import (
+    GuaranteeReport,
     Setting,
     feasibility,
     liveness_threshold,
@@ -12,7 +13,9 @@ from realityvote import (
     required_tau,
     safety_threshold,
 )
+from realityvote import guarantees
 from realityvote.errors import DegenerateParams
+from realityvote.population import as_fraction
 
 F = Fraction
 ARB = Setting.ARBITRARY_BINARY
@@ -208,3 +211,170 @@ class TestMonotonicityAndIdentities:
         assert rep.alpha_star == 0  # tau above sigma/(1-mu)
         assert rep.beta_star > 0
         assert rep.feasible_tau is not None
+
+
+# ---------------------------------------------------------------------------
+# The closed forms against the per-setting formulas they replaced (one copy
+# per setting, three parameter checks per report), kept verbatim as the
+# reference.
+
+_REF_RANDOM = (Setting.RANDOM_NONATOMIC, Setting.RANDOM_FINITE)
+
+
+def _ref_check_params(sigma, mu, tau=Fraction(0)):
+    if not (0 <= sigma < 1 and 0 <= mu < 1):
+        raise DegenerateParams("sigma and mu must lie in [0, 1)")
+    if sigma + mu >= 1:
+        raise DegenerateParams("sigma + mu must stay below 1")
+    if tau < 0:
+        raise DegenerateParams("tau must be nonnegative")
+
+
+def ref_safety_threshold(setting, sigma, mu, tau):
+    sigma, mu, tau = as_fraction(sigma), as_fraction(mu), as_fraction(tau)
+    _ref_check_params(sigma, mu, tau)
+    if setting is Setting.ARBITRARY_BINARY:
+        value = (1 + sigma - (1 + tau) * (1 - mu)) / (2 * (1 - sigma))
+    elif setting in _REF_RANDOM:
+        value = (sigma - tau * (1 - mu)) * (1 - sigma) / (2 * (1 - mu - sigma))
+    elif setting is Setting.MULTI_ALT_SMJ:
+        value = (1 + sigma - (1 + 2 * tau) * (1 - mu)) / (2 * (1 - sigma))
+    else:  # proxy interval; mu plays no role
+        value = (sigma - tau) / (2 * (1 - sigma))
+    return max(Fraction(0), value)
+
+
+def ref_liveness_threshold(setting, sigma, mu, tau):
+    sigma, mu, tau = as_fraction(sigma), as_fraction(mu), as_fraction(tau)
+    _ref_check_params(sigma, mu, tau)
+    if setting is Setting.MULTI_ALT_SMJ:
+        return (1 - mu) * (1 + 2 * tau) / (2 * (1 - sigma - mu))
+    if setting is Setting.PROXY_INTERVAL:
+        return (1 + tau) / (2 * (1 - sigma))
+    return (1 - mu) * (1 + tau) / (2 * (1 - sigma - mu))
+
+
+def _ref_zero_safe_one_live_interval(setting, sigma, mu):
+    if setting in (Setting.ARBITRARY_BINARY, Setting.MULTI_ALT_SMJ):
+        tau_lo = (1 + sigma) / (1 - mu) - 1
+        tau_hi = 2 * (1 - sigma - mu) / (1 - mu) - 1
+        if setting is Setting.MULTI_ALT_SMJ:
+            tau_lo, tau_hi = tau_lo / 2, tau_hi / 2
+    elif setting in _REF_RANDOM:
+        tau_lo = sigma / (1 - mu)
+        tau_hi = 2 * (1 - sigma - mu) / (1 - mu) - 1
+    else:  # proxy
+        tau_lo = sigma
+        tau_hi = 1 - 2 * sigma
+    if tau_lo < tau_hi:
+        return (tau_lo, tau_hi)
+    return None
+
+
+def ref_feasibility(setting, sigma, mu):
+    sigma, mu = as_fraction(sigma), as_fraction(mu)
+    _ref_check_params(sigma, mu)
+    window = _ref_zero_safe_one_live_interval(setting, sigma, mu)
+    return ref_report(setting, sigma, mu, max(Fraction(0), window[0]) if window else 0)
+
+
+def ref_required_tau(setting, sigma, mu, alpha_target):
+    sigma, mu = as_fraction(sigma), as_fraction(mu)
+    alpha_target = as_fraction(alpha_target)
+    _ref_check_params(sigma, mu)
+    if alpha_target < 0:
+        raise DegenerateParams("alpha target must be nonnegative")
+    if setting is Setting.ARBITRARY_BINARY:
+        tau = (1 + sigma - 2 * alpha_target * (1 - sigma)) / (1 - mu) - 1
+    elif setting in _REF_RANDOM:
+        tau = (sigma - 2 * alpha_target * (1 - mu - sigma) / (1 - sigma)) / (1 - mu)
+    elif setting is Setting.MULTI_ALT_SMJ:
+        tau = ((1 + sigma - 2 * alpha_target * (1 - sigma)) / (1 - mu) - 1) / 2
+    else:
+        tau = sigma - 2 * alpha_target * (1 - sigma)
+    return max(Fraction(0), tau)
+
+
+def ref_report(setting, sigma, mu, tau):
+    sigma, mu, tau = as_fraction(sigma), as_fraction(mu), as_fraction(tau)
+    _ref_check_params(sigma, mu, tau)
+    window = _ref_zero_safe_one_live_interval(setting, sigma, mu)
+    return GuaranteeReport(
+        setting=setting,
+        sigma=sigma,
+        mu=mu,
+        tau=tau,
+        alpha_star=ref_safety_threshold(setting, sigma, mu, tau),
+        beta_star=ref_liveness_threshold(setting, sigma, mu, tau),
+        alpha_is_whp=setting in (Setting.RANDOM_FINITE, Setting.PROXY_INTERVAL),
+        feasible_tau=window,
+        impossibility=window is None,
+    )
+
+
+def _result(fn, *args):
+    """What a call gives: the repr of its value (types included), or its
+    exception's class and message."""
+    try:
+        return repr(fn(*args))
+    except Exception as exc:  # noqa: BLE001 - the exception is the result
+        return type(exc), str(exc)
+
+
+# Edges and boundaries (0, 1, 1/3, 1/2, negatives) as well as free rationals;
+# a few values of the wrong type check that coercion still comes first.
+parameters = st.one_of(
+    st.sampled_from([F(0), F(1), F(1, 3), F(1, 2), F(2, 3), F(-1, 5), 0, 1, -1]),
+    st.fractions(min_value=-1, max_value=F(3, 2), max_denominator=12),
+    st.integers(min_value=-2, max_value=2),
+    st.sampled_from([0.5, "1/3", True]),
+)
+
+
+class TestAgainstPerSettingFormulas:
+    @settings(max_examples=400)
+    @given(st.sampled_from(list(Setting)), parameters, parameters, parameters, parameters)
+    def test_every_public_function(self, setting, sigma, mu, tau, alpha_target):
+        pairs = [
+            (safety_threshold, ref_safety_threshold, (sigma, mu, tau)),
+            (liveness_threshold, ref_liveness_threshold, (sigma, mu, tau)),
+            (report, ref_report, (sigma, mu, tau)),
+            (feasibility, ref_feasibility, (sigma, mu)),
+            (required_tau, ref_required_tau, (sigma, mu, alpha_target)),
+        ]
+        for new, ref, args in pairs:
+            assert _result(new, setting, *args) == _result(ref, setting, *args), new.__name__
+
+    @pytest.mark.parametrize("setting", list(Setting), ids=lambda s: s.value)
+    def test_on_a_grid(self, setting):
+        grid = [F(k, 6) for k in range(-1, 7)]
+        for sigma in grid:
+            for mu in grid:
+                assert _result(feasibility, setting, sigma, mu) == _result(
+                    ref_feasibility, setting, sigma, mu
+                )
+                for tau in grid:
+                    for new, ref in (
+                        (report, ref_report),
+                        (required_tau, ref_required_tau),
+                    ):
+                        assert _result(new, setting, sigma, mu, tau) == _result(
+                            ref, setting, sigma, mu, tau
+                        ), (new.__name__, sigma, mu, tau)
+
+
+class TestOneCheckPerCall:
+    def test_report_checks_once_and_feasibility_twice(self, monkeypatch):
+        calls = []
+        checked = guarantees._checked
+
+        def spy(*args):
+            calls.append(args)
+            return checked(*args)
+
+        monkeypatch.setattr(guarantees, "_checked", spy)
+        report(ARB, F(1, 5), F(1, 5), F(1, 10))
+        assert len(calls) == 1
+        calls.clear()
+        feasibility(SMJ, F(1, 10), F(1, 5))
+        assert len(calls) == 2

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from realityvote import Mechanism, is_safe
+from realityvote import Mechanism, is_safe, verifier
 from realityvote.errors import DegenerateParams, SampleTooLarge
 from realityvote.montecarlo import (
     Experiment,
@@ -132,6 +132,20 @@ class TestProxyWhp:
         small = run_proxy_whp(proxy_experiment(n_plus=4, trials=30), F(1, 10))
         large = run_proxy_whp(proxy_experiment(n_plus=30, trials=30), F(1, 10))
         assert large.bound_value < small.bound_value
+
+    def test_budget_is_c_plus_the_proxy_threshold(self, monkeypatch):
+        # sigma = 1/5 above tau = 0: alpha' = c + (sigma - tau) / (2 (1 - sigma)).
+        gammas = []
+        outcome_range = verifier.outcome_range
+
+        def spy(mechanism, profile, gamma):
+            gammas.append(gamma)
+            return outcome_range(mechanism, profile, gamma)
+
+        monkeypatch.setattr(verifier, "outcome_range", spy)
+        mechanism = Mechanism("md", participation="proxy")
+        run_proxy_whp(proxy_experiment(trials=5, mechanism=mechanism), F(1, 20))
+        assert gammas == [F(1, 20) + F(1, 5) / (2 * F(4, 5))]
 
     def test_c_must_be_interior(self):
         with pytest.raises(DegenerateParams):

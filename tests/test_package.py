@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import importlib
 import pkgutil
@@ -60,3 +61,65 @@ def test_traced_names_exist():
     verifier = importlib.import_module("realityvote.verifier")
     assert callable(verifier._cached_range)
     assert isinstance(verifier._range_cache, dict)
+
+
+SOURCES = {
+    path.stem: ast.parse(path.read_text(encoding="utf-8"))
+    for path in sorted(Path(realityvote.__file__).parent.glob("*.py"))
+    if path.stem != "__init__"  # the package's imports are its exports
+}
+
+
+def _loaded_names(node):
+    """Names a subtree reads, as bare names or as attributes (``mod.name``),
+    string annotations included."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            yield sub.attr
+        annotation = getattr(sub, "annotation", None) or getattr(sub, "returns", None)
+        if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+            yield from _loaded_names(ast.parse(annotation.value, mode="eval"))
+
+
+def _defined_names(statement):
+    if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+        return [statement.name]
+    if isinstance(statement, ast.Assign):
+        return [t.id for t in statement.targets if isinstance(t, ast.Name)]
+    if isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name):
+        return [statement.target.id]
+    return []
+
+
+@pytest.mark.parametrize("module", sorted(SOURCES))
+def test_every_import_is_used(module):
+    tree = SOURCES[module]
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for statement in ast.walk(tree)  # imports inside functions too
+        if isinstance(statement, (ast.Import, ast.ImportFrom))
+        and getattr(statement, "module", None) != "__future__"
+        for alias in statement.names
+    }
+    assert sorted(imported - set(_loaded_names(tree))) == []
+
+
+def test_every_private_module_name_has_a_reader():
+    # A module-level private function, class or constant that no other
+    # top-level statement of the package reads is dead code; tests and the
+    # benchmark do not count as readers.
+    statements = [
+        (f"{module}.", statement, set(_loaded_names(statement)))
+        for module, tree in SOURCES.items()
+        for statement in tree.body
+    ]
+    unread = [
+        prefix + name
+        for prefix, statement, _ in statements
+        for name in _defined_names(statement)
+        if name.startswith("_") and not name.startswith("__")
+        and not any(name in read for _, other, read in statements if other is not statement)
+    ]
+    assert unread == []

@@ -111,7 +111,7 @@ class TestCounts:
         assert (prof.n_sybil, prof.n_passive_honest, prof.n_active_honest) == (
             sybils, passives, actives
         )
-        assert (prof.n_honest, prof.n_visible) == (n - sybils, actives + sybils)
+        assert prof.n_honest == n - sybils
         assert prof.sigma == Fraction(sybils, n)
         assert prof.mu == Fraction(passives, n)
         assert prof.h_plus == Fraction(actives, n)
@@ -261,12 +261,6 @@ class TestNonatomic:
                 s_p=Fraction(0),
                 participation=Fraction(1),
             )
-
-    def test_from_profile(self, example_partial):
-        pop = NonatomicProfile.from_profile(example_partial)
-        assert pop.sigma == Fraction(2, 5)
-        assert pop.mu == Fraction(2, 5)
-        assert pop.active_honest_r == Fraction(1, 5)
 
     def test_active_mass_split(self):
         pop = NonatomicProfile(

@@ -48,7 +48,7 @@ class TestDelegate:
     def test_weight_conservation(self, delegation_population):
         weights = delegate(delegation_population, Fraction(1, 4))
         n = delegation_population.n
-        assert weights.total_weight == n + Fraction(1, 4) * n
+        assert sum(e.weight for e in weights.entities) == n + Fraction(1, 4) * n
 
     def test_midpoint_tie_goes_to_the_side_nearer_status_quo(self):
         prof = interval_profile(0, active=(2, 8), passive=(5,))
