@@ -13,7 +13,7 @@ import math
 import os
 import sys
 from fractions import Fraction
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from . import formats, guarantees, montecarlo, rules, verifier
 from .errors import (
@@ -55,14 +55,14 @@ def parse_mechanism(spec: str) -> Mechanism:
         name, _, raw_tau = head.partition(":")
         if name not in rules.THRESHOLD_RULES:
             raise MechanismMismatch(f"base rule {name!r} takes no threshold")
-        base_tau = Fraction(raw_tau)
+        base_tau = formats.parse_rational(raw_tau)
     else:
         name, base_tau = head, Fraction(0)
     re_tau = Fraction(0)
     mode = "full"
     for token in tokens[1:]:
         if token.startswith("re:"):
-            re_tau = Fraction(token[3:])
+            re_tau = formats.parse_rational(token[3:])
         elif token.startswith("mode:"):
             mode = token[5:]  # Mechanism checks it
         else:
@@ -125,11 +125,8 @@ def cmd_eval(args) -> int:
 
 def cmd_frontier(args) -> int:
     setting = _SETTINGS[args.setting]
-    sigma_grid = formats.parse_rational_list(args.sigma_grid)
-    mu_grid = formats.parse_rational_list(args.mu_grid)
-    tau_grid = formats.parse_rational_list(args.tau_grid)
     text = formats.write_frontier_csv(
-        setting, sigma_grid, mu_grid, tau_grid, schema_version=args.schema_version
+        setting, args.sigma_grid, args.mu_grid, args.tau_grid, schema_version=args.schema_version
     )
     if args.out == "-":
         sys.stdout.write(text)
@@ -139,11 +136,11 @@ def cmd_frontier(args) -> int:
     return EXIT_OK
 
 
-def _parse_shape(raw: str):
+def shape(raw: str) -> Tuple[int, Fraction, Fraction]:  # argparse's errors name it
     pieces = raw.split(",")
     if len(pieces) != 3:
         raise RealityVoteError("shape must be n,sigma,mu")
-    return int(pieces[0]), Fraction(pieces[1]), Fraction(pieces[2])
+    return int(pieces[0]), formats.parse_rational(pieces[1]), formats.parse_rational(pieces[2])
 
 
 def _setting_for(mechanism: Mechanism) -> Setting:
@@ -166,23 +163,23 @@ def enumeration_cap() -> int:
 
 
 def cmd_oracle(args) -> int:
-    n, sigma, mu = _parse_shape(args.shape)
-    if n > enumeration_cap():
+    n, sigma, mu = args.shape
+    cap = enumeration_cap()
+    if n > cap:
         raise BudgetExceeded(
-            f"n={n} above the enumeration cap {enumeration_cap()} (override with {ENUM_CAP_ENV})"
+            f"n={n} above the enumeration cap {cap} (override with {ENUM_CAP_ENV})"
         )
     mechanism = parse_mechanism(args.mechanism)
     base = parse_mechanism(args.base) if args.base else Mechanism(base="mj")
     setting = _setting_for(mechanism)
     tau = _oracle_tau(mechanism)
-    shape = (n, sigma, mu)
 
     if args.liveness:
         threshold = guarantees.liveness_threshold(setting, sigma, mu, tau)
         finite = verifier.smallest_live_beta(
-            mechanism, shape, args.target or "p", max_units=args.max_units
+            mechanism, args.shape, args.target or "p", max_units=args.max_units
         )
-        units = verifier.visible_honest(mechanism, shape)
+        units = verifier.visible_honest(mechanism, args.shape)
         adjusted_units = int(threshold * units) + 1  # least multiple strictly above
         adjusted = Fraction(adjusted_units, units)
         print(f"finite beta: {format_rational(finite)}")
@@ -190,7 +187,7 @@ def cmd_oracle(args) -> int:
         print(f"granularity-adjusted: {format_rational(adjusted)}")
         mismatch = finite != adjusted
     else:
-        finite = verifier.min_alpha(mechanism, base, shape)
+        finite = verifier.min_alpha(mechanism, base, args.shape)
         t = guarantees.safety_threshold(setting, sigma, mu, tau)
         h = n - int(sigma * n)
         adjusted = max(Fraction(0), Fraction(math.ceil(t * h), h))
@@ -216,8 +213,6 @@ def _print_stats(label: str, stats: montecarlo.TrialStats) -> None:
 
 def cmd_simulate(args) -> int:
     template = _load_profile(args.template)
-    if args.trials < 1:
-        raise RealityVoteError("trials must be positive")
     rows = []
     n_grid = (
         [int(x) for x in args.n_plus_grid.split(",")]
@@ -226,20 +221,18 @@ def cmd_simulate(args) -> int:
     )
     ok = True
     whp = args.kind == "whp"  # else proxy or hoeffding
-    base, mode, alpha_prime = (
-        ("mj", "active", args.alpha_prime) if whp else ("md", "proxy", args.c)
-    )
+    base, mode, alpha_prime = ("mj", "active", args.alpha_prime) if whp else ("md", "proxy", args.c)
     for n_plus in n_grid:
         if args.kind == "hoeffding":
             stats = montecarlo.hoeffding_diagnostic(
-                template, n_plus, Fraction(args.epsilon), args.trials, args.seed
+                template, n_plus, args.epsilon, args.trials, args.seed
             )
         else:
             exp = montecarlo.Experiment(
                 profile=template,
-                mechanism=Mechanism(base=base, re_tau=Fraction(args.tau), participation=mode),
+                mechanism=Mechanism(base=base, re_tau=args.tau, participation=mode),
                 base=Mechanism(base=base),
-                alpha_prime=Fraction(alpha_prime),
+                alpha_prime=alpha_prime,
                 trials=args.trials,
                 seed=args.seed,
                 n_plus=n_plus,
@@ -247,7 +240,7 @@ def cmd_simulate(args) -> int:
             if whp:
                 stats = montecarlo.run_safety_whp(exp)
             else:
-                stats = montecarlo.run_proxy_whp(exp, Fraction(args.c))
+                stats = montecarlo.run_proxy_whp(exp, args.c)
         _print_stats(f"{args.kind} n+={n_plus}", stats)
         ok = ok and stats.passes_gate()
         rows.append(
@@ -287,15 +280,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_frontier = sub.add_parser("frontier", help="sweep the feasibility frontier")
     p_frontier.add_argument("--setting", choices=sorted(_SETTINGS), required=True)
-    p_frontier.add_argument("--sigma-grid", required=True)
-    p_frontier.add_argument("--mu-grid", required=True)
-    p_frontier.add_argument("--tau-grid", required=True)
+    p_frontier.add_argument("--sigma-grid", type=formats.parse_rational_list, required=True)
+    p_frontier.add_argument("--mu-grid", type=formats.parse_rational_list, required=True)
+    p_frontier.add_argument("--tau-grid", type=formats.parse_rational_list, required=True)
     p_frontier.add_argument("--out", required=True, help="output CSV path or -")
     p_frontier.add_argument("--schema-version", type=int, default=1)
     p_frontier.set_defaults(func=cmd_frontier)
 
     p_oracle = sub.add_parser("oracle", help="brute-force vs closed-form cross-check")
-    p_oracle.add_argument("--shape", required=True, help="n,sigma,mu")
+    p_oracle.add_argument("--shape", type=shape, required=True, help="n,sigma,mu")
     p_oracle.add_argument("--mechanism", required=True)
     p_oracle.add_argument("--base", default=None)
     p_oracle.add_argument("--liveness", action="store_true")
@@ -310,10 +303,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--n-plus-grid", default=None, help="comma list for decay curves")
     p_sim.add_argument("--trials", type=int, required=True)
     p_sim.add_argument("--seed", type=int, required=True)
-    p_sim.add_argument("--alpha-prime", default="1/100")
-    p_sim.add_argument("--tau", default="0")
-    p_sim.add_argument("--c", default="1/20")
-    p_sim.add_argument("--epsilon", default="1/10")
+    p_sim.add_argument("--alpha-prime", type=formats.parse_rational, default="1/100")
+    p_sim.add_argument("--tau", type=formats.parse_rational, default="0")
+    p_sim.add_argument("--c", type=formats.parse_rational, default="1/20")
+    p_sim.add_argument("--epsilon", type=formats.parse_rational, default="1/10")
     p_sim.add_argument("--curve-out", default=None)
     p_sim.set_defaults(func=cmd_simulate)
     return parser
@@ -321,12 +314,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
-    try:
+    try:  # the converters raise InvalidBallot, which argparse lets through
         args = parser.parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
-    try:
-        return args.func(args)
     except BudgetExceeded as exc:
         print(f"error (budget): {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -75,13 +75,18 @@ def _point(raw) -> Tuple[int, ...]:
     return tuple(raw)
 
 
+def parse_rational(text: str) -> Fraction:
+    """The one text form of a rational, in files and on the command line: 'p' or 'p/q'."""
+    match = _RATIO.fullmatch(text) if isinstance(text, str) else None
+    denominator = int(match[2] or 1) if match else 0
+    _require(denominator != 0, f"rationals are exact 'p/q' strings, not {text!r}")
+    return Fraction(int(match[1]), denominator)
+
+
 def _position(raw) -> Fraction:
     if type(raw) is int:  # not bool
         return Fraction(raw)
-    match = _RATIO.fullmatch(raw) if isinstance(raw, str) else None
-    denominator = int(match[2] or 1) if match else 0
-    _require(denominator != 0, f"positions are exact 'p/q' strings, not {raw!r}")
-    return Fraction(int(match[1]), denominator)
+    return parse_rational(raw)
 
 
 def _domain_from_json(doc: dict) -> DomainSpec:
@@ -268,7 +273,4 @@ def parse_rational_list(raw: str) -> Tuple[Fraction, ...]:
     items = [piece.strip() for piece in raw.split(",") if piece.strip()]
     if not items:
         raise InvalidBallot("empty grid")
-    try:
-        return tuple(Fraction(piece) for piece in items)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InvalidBallot(f"bad rational in grid: {exc}") from None
+    return tuple(parse_rational(piece) for piece in items)

@@ -28,6 +28,7 @@ class Setting(enum.Enum):
 
 
 _RANDOM = (Setting.RANDOM_NONATOMIC, Setting.RANDOM_FINITE)
+TauWindow = Tuple[Fraction, Fraction]  # [tau_lo, tau_hi)
 
 
 def _checked(
@@ -76,9 +77,7 @@ def _tau_for(setting: Setting, sigma: Fraction, mu: Fraction, alpha: Fraction) -
     return ((1 + sigma - 2 * alpha * (1 - sigma)) / (1 - mu) - 1) / _tau_weight(setting)
 
 
-def _window(
-    setting: Setting, sigma: Fraction, mu: Fraction
-) -> Optional[Tuple[Fraction, Fraction]]:
+def _window(setting: Setting, sigma: Fraction, mu: Fraction) -> Optional[TauWindow]:
     """[tau_lo, tau_hi): tau_lo buys 0-safety, and _beta_star reaches 1 at tau_hi."""
     if setting is Setting.PROXY_INTERVAL:
         tau_lo, tau_hi = sigma, 1 - 2 * sigma
@@ -130,7 +129,7 @@ class GuaranteeReport:
     alpha_star: Fraction
     beta_star: Fraction
     alpha_is_whp: bool
-    feasible_tau: Optional[Tuple[Fraction, Fraction]]
+    feasible_tau: Optional[TauWindow]
     impossibility: bool
 
 
@@ -144,7 +143,8 @@ def feasibility(setting: Setting, sigma: Rational, mu: Rational) -> GuaranteeRep
     """
     sigma, mu, _ = _checked(sigma, mu)
     window = _window(setting, sigma, mu)
-    return report(setting, sigma, mu, max(Fraction(0), window[0]) if window else 0)
+    tau = max(Fraction(0), window[0]) if window else Fraction(0)
+    return _report(setting, sigma, mu, tau, window)
 
 
 def required_tau(
@@ -156,12 +156,16 @@ def required_tau(
     return max(Fraction(0), _tau_for(setting, sigma, mu, alpha_target))
 
 
-def report(
-    setting: Setting, sigma: Rational, mu: Rational, tau: Rational
-) -> GuaranteeReport:
+def report(setting: Setting, sigma: Rational, mu: Rational, tau: Rational) -> GuaranteeReport:
     """Full report for one parameter triple (window: see feasibility)."""
     sigma, mu, tau = _checked(sigma, mu, tau)
-    window = _window(setting, sigma, mu)
+    return _report(setting, sigma, mu, tau, _window(setting, sigma, mu))
+
+
+def _report(
+    setting: Setting, sigma: Fraction, mu: Fraction, tau: Fraction, window: Optional[TauWindow]
+) -> GuaranteeReport:
+    """The report on checked parameters and their window."""
     return GuaranteeReport(
         setting=setting,
         sigma=sigma,

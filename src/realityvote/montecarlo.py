@@ -193,6 +193,8 @@ def hoeffding_diagnostic(
     """How often does the active proposal share overshoot its expectation by
     epsilon?  Compared against exp(-2 * epsilon^2 * n_plus)."""
     epsilon = as_fraction(epsilon)
+    if epsilon < 0:
+        raise DegenerateParams("epsilon must be nonnegative")
     if template.domain.kind != "binary":
         raise DegenerateParams("the diagnostic runs on binary templates")
     if trials < 1:

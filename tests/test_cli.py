@@ -9,6 +9,7 @@ from realityvote import DomainSpec, build_profile
 from realityvote.cli import main, parse_mechanism
 from realityvote.errors import MechanismMismatch
 from realityvote.formats import (
+    parse_rational,
     parse_rational_list,
     profile_from_json,
     profile_to_json,
@@ -498,26 +499,25 @@ class TestSimulate:
         assert code == 0
         assert "gate (bound + 3 s.e.): pass" in out
 
-    def test_zero_trials_is_input_error(self, tmp_path):
+    def test_zero_trials_is_input_error(self, tmp_path, capsys):
+        # The library's own check answers for every kind.
         template = binary_profile(active="pr")
         path = tmp_path / "t.json"
         path.write_text(profile_to_json(template))
-        assert (
-            main(
-                [
-                    "simulate",
-                    "--kind",
-                    "hoeffding",
-                    "--template",
-                    str(path),
-                    "--trials",
-                    "0",
-                    "--seed",
-                    "1",
-                ]
-            )
-            == 2
-        )
+        for kind in ("whp", "proxy", "hoeffding"):
+            argv = ["simulate", "--kind", kind, "--template", str(path), "--trials", "0"]
+            assert main(argv + ["--seed", "1"]) == 2, kind
+            assert "need at least one trial" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("epsilon, code", [("-1/10", 2), ("0", 0)])
+    def test_negative_epsilon_is_input_error(self, epsilon, code, tmp_path, capsys):
+        # With epsilon < 0 every draw would overshoot: a gate failure (exit 5)
+        # that measures nothing.  Epsilon 0 has bound 1 and passes.
+        path = tmp_path / "t.json"
+        path.write_text(profile_to_json(binary_profile(active="pppppprrrrrr", sybil="pp")))
+        argv = ["simulate", "--kind", "hoeffding", "--template", str(path), "--n-plus", "10"]
+        assert main(argv + ["--trials", "200", "--seed", "1", f"--epsilon={epsilon}"]) == code
+        assert ("epsilon must be nonnegative" in capsys.readouterr().err) == (code == 2)
 
     def test_identical_arguments_identical_output(self, tmp_path, capsys):
         template = interval_profile(0, active=[3 * i for i in range(20)], sybil=[90] * 4)
@@ -544,6 +544,73 @@ class TestSimulate:
         first = capsys.readouterr().out
         main(args)
         assert capsys.readouterr().out == first
+
+
+def _frontier(sigma="0", mu="0", tau="0"):
+    grids = [f"--sigma-grid={sigma}", f"--mu-grid={mu}", f"--tau-grid={tau}"]
+    return ["frontier", "--setting", "arbitrary", *grids, "--out", "-"]
+
+
+def _simulate(kind, option):
+    def argv(raw, templates):
+        head = ["simulate", "--kind", kind, "--template", templates[kind], "--n-plus", "4"]
+        return head + ["--trials", "10", "--seed", "1", f"--{option}={raw}"]
+
+    return argv
+
+
+# Every site where a rational enters the command line: an argv from the raw
+# text and the template path per simulate kind.
+RATIONAL_SITES = {
+    "smj-threshold": lambda raw, t: ["eval", "--profile", t["whp"], "--mechanism", f"smj:{raw}"],
+    "re-threshold": lambda raw, t: ["eval", "--profile", t["whp"], "--mechanism", f"mj re:{raw}"],
+    "shape-sigma": lambda raw, _: ["oracle", "--shape", f"10,{raw},0", "--mechanism", "mj"],
+    "shape-mu": lambda raw, _: ["oracle", "--shape", f"10,0,{raw}", "--mechanism", "mj"],
+    "sigma-grid": lambda raw, _: _frontier(sigma=raw),
+    "mu-grid": lambda raw, _: _frontier(mu=raw),
+    "tau-grid": lambda raw, _: _frontier(tau=raw),
+    "tau": _simulate("whp", "tau"),
+    "alpha-prime": _simulate("whp", "alpha-prime"),
+    "c": _simulate("proxy", "c"),
+    "epsilon": _simulate("hoeffding", "epsilon"),
+}
+
+
+class TestRationalGrammar:
+    """Profile files and the command line read rationals through one parser."""
+
+    @pytest.fixture
+    def templates(self, tmp_path):
+        binary = binary_profile(active="p" * 10 + "r" * 14, sybil="p" * 6)
+        interval = interval_profile(0, active=[3 * i for i in range(20)], sybil=[90] * 4)
+        paths = {}
+        for kind, template in (("whp", binary), ("hoeffding", binary), ("proxy", interval)):
+            path = tmp_path / f"{kind}.json"
+            path.write_text(profile_to_json(template))
+            paths[kind] = str(path)
+        return paths
+
+    @pytest.mark.parametrize("raw", list(BAD_POSITIONS.values()), ids=list(BAD_POSITIONS))
+    @pytest.mark.parametrize("site", list(RATIONAL_SITES))
+    def test_bad_form_is_input_error_at_every_site(self, site, raw, templates, capsys):
+        assert main(RATIONAL_SITES[site](raw, templates)) == 2
+        assert "error (input)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("site", list(RATIONAL_SITES))
+    def test_good_form_passes_every_site(self, site, templates, capsys):
+        # The same argv with a well-formed value gets past the parser.
+        assert main(RATIONAL_SITES[site]("1/5", templates)) in (0, 1)
+        assert "error" not in capsys.readouterr().err
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.fractions())
+    def test_format_round_trips(self, value):
+        assert parse_rational(format_rational(value)) == value
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.from_regex(r"-?[0-9]+(/[0-9]*[1-9][0-9]*)?", fullmatch=True))
+    def test_agrees_with_fraction_on_the_grammar(self, text):
+        assert parse_rational(text) == Fraction(text)
 
 
 class TestRationalList:

@@ -364,17 +364,25 @@ class TestAgainstPerSettingFormulas:
 
 
 class TestOneCheckPerCall:
-    def test_report_checks_once_and_feasibility_twice(self, monkeypatch):
+    @staticmethod
+    def spy(monkeypatch, name):
+        """The argument tuples of every call to guarantees.<name>."""
         calls = []
-        checked = guarantees._checked
+        real = getattr(guarantees, name)
 
         def spy(*args):
             calls.append(args)
-            return checked(*args)
+            return real(*args)
 
-        monkeypatch.setattr(guarantees, "_checked", spy)
+        monkeypatch.setattr(guarantees, name, spy)
+        return calls
+
+    def test_report_and_feasibility_check_once(self, monkeypatch):
+        checks = self.spy(monkeypatch, "_checked")
+        windows = self.spy(monkeypatch, "_window")
         report(ARB, F(1, 5), F(1, 5), F(1, 10))
-        assert len(calls) == 1
-        calls.clear()
+        assert (len(checks), len(windows)) == (1, 1)
+        checks.clear()
+        windows.clear()
         feasibility(SMJ, F(1, 10), F(1, 5))
-        assert len(calls) == 2
+        assert (len(checks), len(windows)) == (1, 1)

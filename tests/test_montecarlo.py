@@ -185,6 +185,17 @@ class TestHoeffdingDiagnostic:
         b = hoeffding_diagnostic(self.TEMPLATE, 25, F(1, 10), trials=100, seed=4)
         assert a == b
 
+    def test_negative_epsilon_is_degenerate(self):
+        # A negative excess would make every draw an overshoot against a
+        # bound below 1, a gate failure with nothing measured.
+        with pytest.raises(DegenerateParams, match="epsilon"):
+            hoeffding_diagnostic(self.TEMPLATE, 25, F(-1, 10), trials=100, seed=4)
+
+    def test_zero_epsilon_has_bound_one(self):
+        stats = hoeffding_diagnostic(self.TEMPLATE, 25, F(0), trials=100, seed=4)
+        assert stats.bound_value == 1.0
+        assert stats.passes_gate()
+
 
 class TestBinaryTrialDraw:
     """Both binary experiments read trial t's active proposal supporters from

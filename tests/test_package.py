@@ -123,3 +123,22 @@ def test_every_private_module_name_has_a_reader():
         and not any(name in read for _, other, read in statements if other is not statement)
     ]
     assert unread == []
+
+
+def test_cli_reads_text_rationals_only_through_the_parser():
+    # Text becomes a rational in one place, formats.parse_rational, so the
+    # command line cannot accept forms a profile file rejects: cli.py builds
+    # a Fraction from two arguments or from one int literal, never from a
+    # string.
+    def allowed(call):
+        args = call.args
+        if call.keywords or len(args) not in (1, 2):
+            return False
+        return len(args) == 2 or isinstance(args[0], ast.Constant) and type(args[0].value) is int
+
+    calls = [
+        node
+        for node in ast.walk(SOURCES["cli"])
+        if isinstance(node, ast.Call) and "Fraction" in _loaded_names(node.func)
+    ]
+    assert calls and [ast.unparse(call) for call in calls if not allowed(call)] == []
