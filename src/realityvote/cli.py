@@ -18,6 +18,7 @@ from typing import List, Optional, Tuple
 from . import formats, guarantees, montecarlo, rules, verifier
 from .errors import (
     BudgetExceeded,
+    InvalidBallot,
     MechanismMismatch,
     NonRankingBallot,
     RealityVoteError,
@@ -140,7 +141,8 @@ def shape(raw: str) -> Tuple[int, Fraction, Fraction]:  # argparse's errors name
     pieces = raw.split(",")
     if len(pieces) != 3:
         raise RealityVoteError("shape must be n,sigma,mu")
-    return int(pieces[0]), formats.parse_rational(pieces[1]), formats.parse_rational(pieces[2])
+    n, sigma, mu = pieces
+    return formats.parse_int(n), formats.parse_rational(sigma), formats.parse_rational(mu)
 
 
 def _setting_for(mechanism: Mechanism) -> Setting:
@@ -157,8 +159,8 @@ def enumeration_cap() -> int:
     if raw is None:
         return DEFAULT_ENUM_CAP
     try:
-        return int(raw)
-    except ValueError:
+        return formats.parse_int(raw)
+    except InvalidBallot:
         raise BudgetExceeded(f"bad {ENUM_CAP_ENV} value {raw!r}") from None
 
 
@@ -215,7 +217,7 @@ def cmd_simulate(args) -> int:
     template = _load_profile(args.template)
     rows = []
     n_grid = (
-        [int(x) for x in args.n_plus_grid.split(",")]
+        [formats.parse_int(x) for x in args.n_plus_grid.split(",")]
         if args.n_plus_grid
         else [args.n_plus]
     )
@@ -284,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_frontier.add_argument("--mu-grid", type=formats.parse_rational_list, required=True)
     p_frontier.add_argument("--tau-grid", type=formats.parse_rational_list, required=True)
     p_frontier.add_argument("--out", required=True, help="output CSV path or -")
-    p_frontier.add_argument("--schema-version", type=int, default=1)
+    p_frontier.add_argument("--schema-version", type=formats.parse_int, default=1)
     p_frontier.set_defaults(func=cmd_frontier)
 
     p_oracle = sub.add_parser("oracle", help="brute-force vs closed-form cross-check")
@@ -293,16 +295,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--base", default=None)
     p_oracle.add_argument("--liveness", action="store_true")
     p_oracle.add_argument("--target", default=None)
-    p_oracle.add_argument("--max-units", type=int, default=64)
+    p_oracle.add_argument("--max-units", type=formats.parse_int, default=64)
     p_oracle.set_defaults(func=cmd_oracle)
 
     p_sim = sub.add_parser("simulate", help="random-participation experiments")
     p_sim.add_argument("--kind", choices=("whp", "proxy", "hoeffding"), required=True)
     p_sim.add_argument("--template", required=True)
-    p_sim.add_argument("--n-plus", type=int, default=10)
+    p_sim.add_argument("--n-plus", type=formats.parse_int, default=10)
     p_sim.add_argument("--n-plus-grid", default=None, help="comma list for decay curves")
-    p_sim.add_argument("--trials", type=int, required=True)
-    p_sim.add_argument("--seed", type=int, required=True)
+    p_sim.add_argument("--trials", type=formats.parse_int, required=True)
+    p_sim.add_argument("--seed", type=formats.parse_int, required=True)
     p_sim.add_argument("--alpha-prime", type=formats.parse_rational, default="1/100")
     p_sim.add_argument("--tau", type=formats.parse_rational, default="0")
     p_sim.add_argument("--c", type=formats.parse_rational, default="1/20")

@@ -39,6 +39,7 @@ _CLASS_TO_TAG = {
 }
 _TAG_TO_CLASS = {tag: cls for cls, tag in _CLASS_TO_TAG.items()}
 _RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")  # [0-9]: ASCII digits only
+_INT = re.compile(r"-?[0-9]+")
 
 
 def _domain_to_json(domain: DomainSpec) -> dict:
@@ -81,6 +82,12 @@ def parse_rational(text: str) -> Fraction:
     denominator = int(match[2] or 1) if match else 0
     _require(denominator != 0, f"rationals are exact 'p/q' strings, not {text!r}")
     return Fraction(int(match[1]), denominator)
+
+
+def parse_int(text: str) -> int:
+    """The one text form of an integer on the command line: ASCII '-?[0-9]+'."""
+    _require(_INT.fullmatch(text) is not None, f"integers are '-?[0-9]+' strings, not {text!r}")
+    return int(text)
 
 
 def _position(raw) -> Fraction:

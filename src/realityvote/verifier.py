@@ -6,8 +6,9 @@ Everything here evaluates the definitions directly on small finite
 instances; the closed-form module is validated against these results, not
 the other way around.  Enumeration is over count tables and ballot-count
 multisets (the binary worst case builds no voter list), which is
-exhaustive because every implemented rule is anonymous (the binary worst
-case asks the base side once per distinct question, see min_alpha).
+exhaustive because every implemented rule is anonymous.  The binary worst
+case evaluates one outcome per visible proposal count and asks the base
+side only for proposal outcomes (see min_alpha).
 
 One least-cost search (``_least_cost``) on honest and sybil ballot counts
 answers every reachability question: how many additions does it take to
@@ -447,22 +448,35 @@ def min_alpha(
 ) -> Fraction:
     """Worst case over every binary profile of the given shape of the minimal
     safe alpha.  Honest actives, passive private votes, and sybil ballots are
-    all enumerated; nothing is assumed about where the worst case lies.  Each
-    population's outcome z is evaluated, and the base side asked once per
-    (z, base-visible honest counts): within a shape that pair fixes the
-    answer, where k + j would not (an active-only base sees only k)."""
+    all enumerated; nothing is assumed about where the worst case lies.
+
+    The shape fixes the visible electorate (n under full participation,
+    h+ + s otherwise), so an anonymous binary rule's outcome z is a function
+    of the visible proposal count, k + j + s_p or k + s_p: it is evaluated
+    once per count.  The status quo is safe at alpha 0, so the base side is
+    asked only for z = p, once per proposal count the base sees among the
+    honest voters (k + j, or k for an active-only base): within a shape that
+    count fixes the answer."""
     domain = DomainSpec.binary()
     n, s, hm = _shape_counts(shape)
     h_plus = n - s - hm
-    answers: Dict[tuple, Fraction] = {}
+    # Check the base up front: a walk whose outcomes are all r never asks it.
+    _split(base, _binary_counts(domain, 0, h_plus, 0, hm, 0, 0))
+    rules._rule(base, domain)
+    full_view, full_base = mechanism.participation == "full", base.participation == "full"
+    outcomes: Dict[int, Ballot] = {}  # visible proposal count -> z
+    answers: Dict[int, Fraction] = {}  # base-visible proposal count -> alpha for z = p
     for k, j, s_p in itertools.product(range(h_plus + 1), range(hm + 1), range(s + 1)):
-        counts = _binary_counts(domain, k, h_plus, j, hm, s_p, s)
-        z = _binary_outcome(mechanism, domain, counts)
-        honest = {**counts, VoterClass.SYBIL: {}}
-        key = (z, frozenset(_split(base, honest)[0].items()))
-        if key not in answers:
+        seen = k + j + s_p if full_view else k + s_p
+        z = outcomes.get(seen)
+        if z is None:
+            counts = _binary_counts(domain, k, h_plus, j, hm, s_p, s)
+            z = outcomes[seen] = _binary_outcome(mechanism, domain, counts)
+        key = k + j if full_base else k
+        if z != domain.status_quo and key not in answers:
+            honest = _binary_counts(domain, k, h_plus, j, hm, 0, 0)
             answers[key] = _least_safe_alpha(base, domain, z, honest)
-    return max(answers.values())
+    return max(answers.values(), default=Fraction(0))
 
 
 def visible_honest(mechanism: Mechanism, shape: Tuple[int, Rational, Rational]) -> int:

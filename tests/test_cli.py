@@ -9,6 +9,7 @@ from realityvote import DomainSpec, build_profile
 from realityvote.cli import main, parse_mechanism
 from realityvote.errors import MechanismMismatch
 from realityvote.formats import (
+    parse_int,
     parse_rational,
     parse_rational_list,
     profile_from_json,
@@ -576,19 +577,20 @@ RATIONAL_SITES = {
 }
 
 
+@pytest.fixture
+def templates(tmp_path):
+    binary = binary_profile(active="p" * 10 + "r" * 14, sybil="p" * 6)
+    interval = interval_profile(0, active=[3 * i for i in range(20)], sybil=[90] * 4)
+    paths = {}
+    for kind, template in (("whp", binary), ("hoeffding", binary), ("proxy", interval)):
+        path = tmp_path / f"{kind}.json"
+        path.write_text(profile_to_json(template))
+        paths[kind] = str(path)
+    return paths
+
+
 class TestRationalGrammar:
     """Profile files and the command line read rationals through one parser."""
-
-    @pytest.fixture
-    def templates(self, tmp_path):
-        binary = binary_profile(active="p" * 10 + "r" * 14, sybil="p" * 6)
-        interval = interval_profile(0, active=[3 * i for i in range(20)], sybil=[90] * 4)
-        paths = {}
-        for kind, template in (("whp", binary), ("hoeffding", binary), ("proxy", interval)):
-            path = tmp_path / f"{kind}.json"
-            path.write_text(profile_to_json(template))
-            paths[kind] = str(path)
-        return paths
 
     @pytest.mark.parametrize("raw", list(BAD_POSITIONS.values()), ids=list(BAD_POSITIONS))
     @pytest.mark.parametrize("site", list(RATIONAL_SITES))
@@ -611,6 +613,47 @@ class TestRationalGrammar:
     @given(st.from_regex(r"-?[0-9]+(/[0-9]*[1-9][0-9]*)?", fullmatch=True))
     def test_agrees_with_fraction_on_the_grammar(self, text):
         assert parse_rational(text) == Fraction(text)
+
+
+# Integers that int() takes but '-?[0-9]+' does not, and every site where an
+# integer enters the command line (the argv from the raw text).
+BAD_INTEGERS = {"space": " 5", "underscore": "5_0", "non-ascii-digit": "\u0665"}
+_LIVENESS = ["oracle", "--shape", "1,0,0", "--mechanism", "mj", "--liveness"]
+INTEGER_SITES = {
+    "shape-n": lambda raw, _: ["oracle", "--shape", f"{raw},0,0", "--mechanism", "mj"],
+    "schema-version": lambda raw, _: [*_frontier(), f"--schema-version={raw}"],
+    "max-units": lambda raw, _: [*_LIVENESS, f"--max-units={raw}"],
+    "n-plus": _simulate("whp", "n-plus"),
+    "n-plus-grid": _simulate("whp", "n-plus-grid"),
+    "trials": _simulate("hoeffding", "trials"),
+    "seed": _simulate("proxy", "seed"),
+}
+
+
+class TestIntegerGrammar:
+    """Every command-line integer is read by formats.parse_int."""
+
+    @pytest.mark.parametrize("raw", list(BAD_INTEGERS.values()), ids=list(BAD_INTEGERS))
+    @pytest.mark.parametrize("site", list(INTEGER_SITES))
+    def test_bad_form_is_input_error_at_every_site(self, site, raw, templates, capsys):
+        assert main(INTEGER_SITES[site](raw, templates)) == 2
+        assert "error (input)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("site", list(INTEGER_SITES))
+    def test_good_form_passes_every_site(self, site, templates, capsys):
+        assert main(INTEGER_SITES[site]("1", templates)) in (0, 1)
+        assert "error" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw", list(BAD_INTEGERS.values()), ids=list(BAD_INTEGERS))
+    def test_bad_enumeration_cap_is_a_budget_error(self, raw, monkeypatch, capsys):
+        monkeypatch.setenv("REALITYVOTE_ENUM_CAP", raw)
+        assert main(["oracle", "--shape", "5,2/5,0", "--mechanism", "mj"]) == 4
+        assert "error (budget): bad REALITYVOTE_ENUM_CAP value" in capsys.readouterr().err
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.from_regex(r"-?[0-9]+", fullmatch=True))
+    def test_agrees_with_int_on_the_grammar(self, text):
+        assert parse_int(text) == int(text)
 
 
 class TestRationalList:

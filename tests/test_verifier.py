@@ -36,7 +36,12 @@ from realityvote.errors import (
 )
 from realityvote.guarantees import Setting, liveness_threshold, safety_threshold
 from realityvote.population import VoterClass
-from realityvote.verifier import _binary_counts, honest_only
+from realityvote.verifier import (
+    _binary_counts,
+    _binary_outcome,
+    _least_safe_alpha,
+    honest_only,
+)
 
 from conftest import ACTIVE, PASSIVE, SYBIL, binary_profile, interval_profile
 
@@ -147,6 +152,30 @@ class TestIsLive:
         )
 
 
+# min_alpha's differential test: the mechanisms walked and the bases asked.
+_WALK_MECHANISMS = [
+    *(Mechanism("mj", re_tau=tau, participation=mode)
+      for mode in ("full", "active") for tau in (F(0), F(1, 4), F(1, 2), F(1))),
+    *(Mechanism("smj", base_tau=tau, participation=mode)
+      for mode in ("full", "active") for tau in (F(0), F(1, 5), F(2, 5))),
+]
+_WALK_BASES = [MJ, MJ_ACTIVE, Mechanism("smj", base_tau=F(1, 4))]
+
+
+def walk_every_population(mechanism, base, n, s, hm):
+    """min_alpha as a plain walk: every (k, j, s_p) population's outcome and
+    base-side answer, with no memo and no skip."""
+    domain = DomainSpec.binary()
+    hp = n - s - hm
+    worst = F(0)
+    for k, j, s_p in itertools.product(range(hp + 1), range(hm + 1), range(s + 1)):
+        counts = _binary_counts(domain, k, hp, j, hm, s_p, s)
+        z = _binary_outcome(mechanism, domain, counts)
+        honest = {**counts, SYBIL: {}}
+        worst = max(worst, _least_safe_alpha(base, domain, z, honest))
+    return worst
+
+
 class TestMinAlpha:
     def test_full_participation_table_value(self):
         assert min_alpha(MJ, MJ, (5, F(2, 5), 0)) == F(1, 3)
@@ -163,13 +192,13 @@ class TestMinAlpha:
         # honest-active support that elects the proposal is floor(D/2) + 1
         # votes with D = h+ + q - s, and the movers needed from there are
         # floor(h/2) + 1 - k.
-        for n in range(1, 8):
+        for n in range(1, 15):
             for s in range(0, n):
                 for hm in range(0, n - s):
                     hp = n - s - hm
                     if hp < 1:
                         continue
-                    for tau in (F(0), F(1, 2), F(1)):
+                    for tau in (F(0), F(1, 4), F(1, 2), F(3, 4), F(1)):
                         mech = Mechanism("mj", re_tau=tau, participation="active")
                         got = min_alpha(mech, MJ, (n, F(s, n), F(hm, n)))
                         h = n - s
@@ -240,35 +269,80 @@ class TestMinAlpha:
                         worst = max(worst, min_alpha_for_profile(mech, base, prof))
                     assert min_alpha(mech, base, (n, F(s, n), F(hm, n))) == worst, (n, s, hm)
 
-    @pytest.mark.parametrize(
-        "base", [MJ, MJ_ACTIVE, Mechanism("smj", base_tau=F(1, 4))], ids=Mechanism.describe
-    )
+    @pytest.mark.parametrize("base", _WALK_BASES, ids=Mechanism.describe)
     def test_base_side_is_asked_once_per_distinct_question(self, base, monkeypatch):
-        # The least-safe-alpha core runs once for each distinct (outcome,
-        # honest ballots on p the base sees) over the shape's populations:
-        # an active-only base sees the k actives, a full one k + j.
+        # The least-safe-alpha core runs once for each distinct honest
+        # proposal count the base sees (an active-only base sees the k
+        # actives, a full one k + j) among the populations electing p, and
+        # never for a status-quo outcome: the test asks those itself, and
+        # each answers 0.
         def seen(k, j):
             return k if base.participation == "active" else k + j
 
-        core, asked = verifier._least_safe_alpha, []
+        asked = []
 
         def spy(base_, domain, z, honest):
             asked.append((z, seen(honest[ACTIVE].get("p", 0), honest[PASSIVE].get("p", 0))))
-            return core(base_, domain, z, honest)
+            return _least_safe_alpha(base_, domain, z, honest)
 
         monkeypatch.setattr(verifier, "_least_safe_alpha", spy)
         mech = Mechanism("mj", re_tau=F(1, 4), participation="active")
         hp, hm, s = 3, 3, 2
-        questions = {
-            (apply(mech, binary_profile(
+        questions = {}
+        for k, j, s_p in itertools.product(range(hp + 1), range(hm + 1), range(s + 1)):
+            prof = binary_profile(
                 active="p" * k + "r" * (hp - k),
                 passive="p" * j + "r" * (hm - j),
                 sybil="p" * s_p + "r" * (s - s_p),
-            )), seen(k, j))
-            for k, j, s_p in itertools.product(range(hp + 1), range(hm + 1), range(s + 1))
-        }
+            )
+            questions[apply(mech, prof), seen(k, j)] = honest_only(prof)
         min_alpha(mech, base, (8, F(s, 8), F(hm, 8)))
-        assert sorted(asked) == sorted(questions)
+        assert sorted(asked) == sorted(q for q in questions if q[0] == "p")
+        skipped = [prof for (z, _), prof in questions.items() if z == "r"]
+        assert skipped
+        for prof in skipped:
+            assert _least_safe_alpha(base, prof.domain, "r", prof.counts) == 0
+
+    @pytest.mark.parametrize(
+        "mech, base",
+        [
+            pytest.param(mech, base, id=f"{mech.describe()} base:{base.describe()}")
+            for base in _WALK_BASES
+            for mech in _WALK_MECHANISMS
+        ],
+    )
+    def test_walk_matches_every_population(self, mech, base, monkeypatch):
+        # min_alpha evaluates one outcome per visible proposal count, keys
+        # the base side on the base-visible honest proposal count and skips
+        # it for status-quo outcomes; the plain walk over every population
+        # must agree on every shape with n <= 8, and the outcome is evaluated
+        # at most n + 1 times per shape (one per visible count).
+        calls = []
+
+        def spy(mechanism, domain, counts):
+            calls.append(counts)
+            return _binary_outcome(mechanism, domain, counts)
+
+        monkeypatch.setattr(verifier, "_binary_outcome", spy)
+        for n in range(1, 9):
+            for s in range(n):
+                for hm in range(n - s):
+                    calls.clear()
+                    got = min_alpha(mech, base, (n, F(s, n), F(hm, n)))
+                    assert len(calls) <= n + 1, (n, s, hm)
+                    assert got == walk_every_population(mech, base, n, s, hm), (n, s, hm)
+
+    @pytest.mark.parametrize(
+        "base", [Mechanism("mj", participation="proxy"), Mechanism("md"), Mechanism("pl")],
+        ids=Mechanism.describe,
+    )
+    def test_base_is_checked_when_no_outcome_asks_it(self, base):
+        # Every population of the shape keeps r under this mechanism, so the
+        # walk never reaches the base side; a base that cannot run on a
+        # binary count table is still a mismatch.
+        blocked = Mechanism("mj", re_tau=F(10), participation="active")
+        with pytest.raises(MechanismMismatch):
+            min_alpha(blocked, base, (5, F(2, 5), F(1, 5)))
 
     def test_hypercube_worked_example(self):
         cube = DomainSpec.hypercube(3, (0, 0, 0))
