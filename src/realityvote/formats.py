@@ -276,8 +276,6 @@ def write_frontier_csv(
 
 
 def parse_rational_list(raw: str) -> Tuple[Fraction, ...]:
-    """Comma-separated exact rationals, e.g. '0,1/20,1/10'."""
-    items = [piece.strip() for piece in raw.split(",") if piece.strip()]
-    if not items:
-        raise InvalidBallot("empty grid")
-    return tuple(parse_rational(piece) for piece in items)
+    """Comma-separated exact rationals, e.g. '0,1/20,1/10': every piece,
+    empty or spaced ones included, is one parse_rational."""
+    return tuple(parse_rational(piece) for piece in raw.split(","))

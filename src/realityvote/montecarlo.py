@@ -18,7 +18,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from . import proxy, verifier
-from .errors import DegenerateParams, SampleTooLarge
+from .errors import DegenerateParams, MechanismMismatch, SampleTooLarge
 from .guarantees import Setting, safety_threshold
 from .population import HONEST_CLASSES, Profile, Rational, VoterClass, as_fraction, ballot_counts
 from .rules import Mechanism
@@ -115,7 +115,7 @@ def run_safety_whp(exp: Experiment) -> TrialStats:
     """Empirical rate of safety violations under random participation,
     compared against the Hoeffding-style tail bound."""
     if exp.profile.domain.kind != "binary":
-        raise DegenerateParams("the w.h.p. safety experiment is binary")
+        raise MechanismMismatch("the w.h.p. safety experiment is binary")
     domain = exp.profile.domain
     honest_p = ballot_counts(exp.profile.counts, HONEST_CLASSES).get(domain.proposal, 0)
     sybil_p = exp.profile.counts[VoterClass.SYBIL].get(domain.proposal, 0)
@@ -158,7 +158,7 @@ def run_proxy_whp(exp: Experiment, c: Rational) -> TrialStats:
     if not 0 < c < 1:
         raise DegenerateParams("c must lie strictly between 0 and 1")
     if exp.profile.domain.kind != "interval":
-        raise DegenerateParams("proxy experiments run on the interval domain")
+        raise MechanismMismatch("proxy experiments run on the interval domain")
     sigma = exp.profile.sigma
     tau = exp.mechanism.re_tau
     alpha_prime = c + safety_threshold(Setting.PROXY_INTERVAL, sigma, 0, tau)
@@ -196,7 +196,7 @@ def hoeffding_diagnostic(
     if epsilon < 0:
         raise DegenerateParams("epsilon must be nonnegative")
     if template.domain.kind != "binary":
-        raise DegenerateParams("the diagnostic runs on binary templates")
+        raise MechanismMismatch("the diagnostic runs on binary templates")
     if trials < 1:
         raise DegenerateParams("need at least one trial")
     honest_p = ballot_counts(template.counts, HONEST_CLASSES).get(template.domain.proposal, 0)

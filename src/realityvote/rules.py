@@ -259,8 +259,6 @@ def condorcet_conservative(tau: Fraction, tally: Tally, domain: DomainSpec) -> B
         contest_total = cast
         if r in (a, b):
             contest_total += tally.q
-            if a == r:
-                support += tally.q
         return support > (Fraction(1, 2) + tau) * contest_total
 
     for candidate in alternatives:

@@ -21,9 +21,10 @@ itself, one target-first ranking, or, for the status quo under ranking
 ballots, every r-first ranking.  Swapping any added ballot for a support
 ballot never hurts the target, so the restriction loses nothing.  On the
 line the range is an interval, found from sentinel movers
-(``_interval_range``): the least cost is a bisection over the budget, and
-a yes/no question at one budget (``_reaches``, as ``is_live`` asks) is one
-range.
+(``_interval_ranges``), and the search walks the budget upward as on every
+other domain: the first budget whose interval holds the target answers.  A
+yes/no question at one budget (as ``is_live`` asks) is that search capped
+at the budget.
 """
 
 from __future__ import annotations
@@ -173,13 +174,15 @@ def _least_cost(
     Additions run outermost, so the first electing tally answers; removals
     are enumerated exhaustively over the honest ballot types and additions
     spread over the target's support ballots (see _support_ballots).  The
-    search gives up after _WORK_LIMIT tallies.  On the line the reachable
-    interval (_interval_range) grows with the budget: bisect over it.
+    search gives up after _WORK_LIMIT tallies.  On the line the walk reads
+    the reachable interval at each budget (_interval_ranges).
     """
     if domain.kind == "interval":
-        reaches = lambda b: _reaches(mechanism, domain, honest_counts, sybil_counts, target, b)
-        least = bisect.bisect_left(range(cap + 1), True, key=reaches)
-        return least if least <= cap else None
+        ranges = _interval_ranges(mechanism, domain, honest_counts, sybil_counts)
+        for y, (lo, hi) in zip(range(cap + 1), ranges):
+            if BetweenRegion(kind="interval", lo=lo, hi=hi).contains(target):
+                return y
+        return None
     ranked = domain.kind == "categorical" and any(isinstance(b, tuple) for b in honest_counts)
     support = _support_ballots(domain, ranked, target)
     bins = len(support)
@@ -212,30 +215,17 @@ def _least_cost(
     return None
 
 
-def _reaches(
-    mechanism: Mechanism, domain: DomainSpec, honest_counts: Dict[Ballot, int],
-    sybil_counts: Dict[Ballot, int], target: Ballot, budget: int,
-) -> bool:
-    """Does an honest modification within the budget elect the target?  On
-    the line: does the reachable interval (_interval_range) hold it?"""
-    if domain.kind != "interval":
-        cost = _least_cost(mechanism, domain, honest_counts, sybil_counts, target, budget)
-        return cost is not None
-    lo, hi = _interval_range(mechanism, domain, honest_counts, sybil_counts, budget)
-    return BetweenRegion(kind="interval", lo=lo, hi=hi).contains(target)
-
-
 _BIG_STEP = 1_000_000
 
 
-def _interval_range(
+def _interval_ranges(
     mechanism: Mechanism,
     domain: DomainSpec,
     honest_counts: Dict[Fraction, int],
     sybil_counts: Dict[Fraction, int],
-    budget: int,
-) -> Tuple[Optional[Fraction], Optional[Fraction]]:
-    """Extremes of the reachable median set via sentinel movers.
+) -> Iterator[Tuple[Optional[Fraction], Optional[Fraction]]]:
+    """Extremes of the reachable median set via sentinel movers, at budget
+    0, 1, 2, ... in turn: budget y adds the splits with y additions.
 
     For a fixed number of removals and additions, parking the movers past
     all existing positions dominates any farther placement for a (weighted)
@@ -288,13 +278,12 @@ def _interval_range(
         return rules.suppressed_median_at(mechanism.base_tau, xs, prefix, total, r_x)
 
     lo = hi = evaluate(0, h, 0, top)
-    for removals in range(min(budget, h) + 1):
-        for additions in range(removals, budget + 1):
+    for additions in itertools.count():
+        for removals in range(min(additions, h) + 1):
             hi = max(hi, evaluate(removals, h, additions, top))
             lo = min(lo, evaluate(0, h - removals, additions, -top))
-    hi_out = None if hi >= top else Fraction(hi, scale)
-    lo_out = None if lo <= -top else Fraction(lo, scale)
-    return lo_out, hi_out
+        yield (None if lo <= -top else Fraction(lo, scale),
+               None if hi >= top else Fraction(hi, scale))
 
 
 def outcome_range(
@@ -316,12 +305,13 @@ def outcome_range(
     budget = int(gamma * sum(honest_counts.values()))
 
     if domain.kind == "interval":
-        lo, hi = _interval_range(mechanism, domain, honest_counts, sybil_counts, budget)
+        ranges = _interval_ranges(mechanism, domain, honest_counts, sybil_counts)
+        lo, hi = next(itertools.islice(ranges, budget, None))
         return OutcomeRange(gamma=gamma, budget=budget, kind="interval", lo=lo, hi=hi)
 
     reachable = frozenset(
         t for t in domain.alternative_list()
-        if _reaches(mechanism, domain, honest_counts, sybil_counts, t, budget)
+        if _least_cost(mechanism, domain, honest_counts, sybil_counts, t, budget) is not None
     )
     return OutcomeRange(gamma=gamma, budget=budget, kind="finite", reachable=reachable)
 
@@ -486,12 +476,13 @@ def visible_honest(mechanism: Mechanism, shape: Tuple[int, Rational, Rational]) 
     return n - s - hm if mechanism.participation == "active" else n - s
 
 
-def _live_populations(
+def _live_cost(
     mechanism: Mechanism, shape: Tuple[int, Rational, Rational], target: Ballot,
-    domain: Optional[DomainSpec],
-) -> Tuple[DomainSpec, Ballot, Dict[Ballot, int], List[Dict[Ballot, int]]]:
-    """The domain, the validated target, the visible honest ballot counts and
-    every sybil placement that can block the target.
+    domain: Optional[DomainSpec], cap: int,
+) -> Optional[int]:
+    """The most, over every sybil placement that can block the target, of
+    the target's least cost, or None once a placement holds it off within
+    cap.
 
     Every honest voter starts on the status quo (an r-first ranking for
     Condorcet rules).  On the line both ends of the range are nondecreasing
@@ -513,7 +504,14 @@ def _live_populations(
             {c: k for c, k in zip(candidates, combo) if k}
             for combo in _bounded_compositions(s, (s,) * len(candidates))
         ]
-    return domain, target, {r: visible_honest(mechanism, shape)}, placements
+    honest_counts = {r: visible_honest(mechanism, shape)}
+    worst = 0
+    for sybils in placements:
+        cost = _least_cost(mechanism, domain, honest_counts, sybils, target, cap)
+        if cost is None:
+            return None
+        worst = max(worst, cost)
+    return worst
 
 
 def is_live(
@@ -524,17 +522,12 @@ def is_live(
     domain: Optional[DomainSpec] = None,
 ) -> bool:
     """Can the honest voters reach the target against every sybil placement
-    (see _live_populations) within beta times the visible honest count?  On
-    the line one range at that budget answers each placement."""
+    (see _live_cost) within beta times the visible honest count?"""
     visible = visible_honest(mechanism, shape)
     beta = as_fraction(beta)
     if beta < 0:
         raise DegenerateParams("beta must be nonnegative")
-    domain, target, honest_counts, placements = _live_populations(mechanism, shape, target, domain)
-    return all(
-        _reaches(mechanism, domain, honest_counts, sybils, target, int(beta * visible))
-        for sybils in placements
-    )
+    return _live_cost(mechanism, shape, target, domain, int(beta * visible)) is not None
 
 
 def smallest_live_beta(
@@ -546,14 +539,10 @@ def smallest_live_beta(
 ) -> Fraction:
     """Least multiple of 1/(visible honest count) at which is_live holds:
     the most, over sybil placements, of the least cost of the target."""
-    domain, target, honest_counts, placements = _live_populations(mechanism, shape, target, domain)
-    worst = 0
-    for sybils in placements:
-        cost = _least_cost(mechanism, domain, honest_counts, sybils, target, max_units)
-        if cost is None:
-            raise BudgetExceeded(f"no feasible liveness budget up to {max_units} voters")
-        worst = max(worst, cost)
-    return Fraction(worst, visible_honest(mechanism, shape))
+    cost = _live_cost(mechanism, shape, target, domain, max_units)
+    if cost is None:
+        raise BudgetExceeded(f"no feasible liveness budget up to {max_units} voters")
+    return Fraction(cost, visible_honest(mechanism, shape))
 
 
 # ---------------------------------------------------------------------------

@@ -269,6 +269,52 @@ class TestEval:
         path.write_text(json.dumps({"domain": PARTIAL_POP["domain"], "voters": voters}))
         assert main(["eval", "--profile", str(path), "--mechanism", "md"]) == 3
 
+    def test_hypercube_points_print_as_digits_in_tuple_order(self, tmp_path, capsys):
+        cube = build_profile(
+            DomainSpec.hypercube(2, (0, 0)),
+            [(ACTIVE, (1, 1)), (ACTIVE, (0, 1)), (PASSIVE, (1, 0)), (SYBIL, (1, 1)),
+             (ACTIVE, (1, 0)), (ACTIVE, (0, 0))],
+        )
+        path = tmp_path / "cube.json"
+        path.write_text(profile_to_json(cube))
+        assert main(["eval", "--profile", str(path), "--mechanism", "imj"]) == 0
+        assert capsys.readouterr().out == (
+            "mechanism: imj mode:full\n"
+            "outcome: 10\n"
+            "visible: 6\n"
+            "q: 0\n"
+            "tally:\n"
+            "  00: 1\n"
+            "  01: 1\n"
+            "  10: 2\n"
+            "  11: 2\n"
+        )
+
+    def test_rankings_print_as_labels_in_domain_order(self, tmp_path, capsys):
+        rankings = build_profile(
+            DomainSpec.categorical(["r", "a", "b"], "r"),
+            [(ACTIVE, ("a", "r", "b")), (ACTIVE, ("b", "a", "r")), (SYBIL, ("a", "b", "r")),
+             (ACTIVE, ("r", "a", "b")), (PASSIVE, ("a", "r", "b")), (ACTIVE, ("a", "b", "r"))],
+        )
+        path = tmp_path / "rankings.json"
+        path.write_text(profile_to_json(rankings))
+        assert main(["eval", "--profile", str(path), "--mechanism", "cc re:1/10"]) == 0
+        assert capsys.readouterr().out == (
+            "mechanism: cc re:1/10 mode:full\n"
+            "outcome: a\n"
+            "visible: 6\n"
+            "q: 3/5\n"
+            "tally:\n"
+            "  rab: 1\n"
+            "  arb: 2\n"
+            "  abr: 2\n"
+            "  bar: 1\n"
+        )
+
+    def test_empty_mechanism_is_a_mismatch(self, partial_pop_file, capsys):
+        assert main(["eval", "--profile", partial_pop_file, "--mechanism", ""]) == 3
+        assert "empty mechanism spec" in capsys.readouterr().err
+
     @pytest.fixture
     def order_file(self, tmp_path):
         path = tmp_path / "order.json"
@@ -396,6 +442,12 @@ class TestFrontier:
             == 2
         )
 
+    @pytest.mark.parametrize("raw", [" 1/2", "1/2,,1", "1/2,", ""])
+    @pytest.mark.parametrize("grid", ["sigma", "mu", "tau"])
+    def test_lax_grid_is_input_error(self, grid, raw, capsys):
+        assert main(_frontier(**{grid: raw})) == 2
+        assert "error (input)" in capsys.readouterr().err
+
     def test_unknown_schema_version(self):
         with pytest.raises(Exception):
             write_frontier_csv(Setting.ARBITRARY_BINARY, [F(0)], [F(0)], [F(0)], schema_version=9)
@@ -519,6 +571,32 @@ class TestSimulate:
         argv = ["simulate", "--kind", "hoeffding", "--template", str(path), "--n-plus", "10"]
         assert main(argv + ["--trials", "200", "--seed", "1", f"--epsilon={epsilon}"]) == code
         assert ("epsilon must be nonnegative" in capsys.readouterr().err) == (code == 2)
+
+    @pytest.mark.parametrize("kind, template", [("whp", "proxy"), ("hoeffding", "proxy"),
+                                                ("proxy", "whp")])
+    def test_template_of_the_wrong_domain_is_a_mismatch(self, kind, template, templates, capsys):
+        argv = ["simulate", "--kind", kind, "--template", templates[template], "--n-plus", "4"]
+        assert main(argv + ["--trials", "10", "--seed", "1"]) == 3
+        assert "error (mechanism/domain)" in capsys.readouterr().err
+
+    def test_hoeffding_sample_above_the_honest_count_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "t.json"
+        path.write_text(profile_to_json(binary_profile(active="pprr", sybil="p")))
+        argv = ["simulate", "--kind", "hoeffding", "--template", str(path), "--n-plus", "5"]
+        assert main(argv + ["--trials", "10", "--seed", "1"]) == 2
+        assert "active sample must fit" in capsys.readouterr().err
+
+    def test_whp_template_without_a_passive_ballot_is_input_error(self, tmp_path, capsys):
+        voters = [
+            {"class": "honest_active", "ballot": "p"},
+            {"class": "honest_active", "ballot": "r"},
+            {"class": "honest_passive", "ballot": None},
+        ]
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"domain": PARTIAL_POP["domain"], "voters": voters}))
+        argv = ["simulate", "--kind", "whp", "--template", str(path), "--n-plus", "1"]
+        assert main(argv + ["--trials", "10", "--seed", "1"]) == 2
+        assert "template needs every honest ballot" in capsys.readouterr().err
 
     def test_identical_arguments_identical_output(self, tmp_path, capsys):
         template = interval_profile(0, active=[3 * i for i in range(20)], sybil=[90] * 4)
@@ -656,9 +734,19 @@ class TestIntegerGrammar:
         assert parse_int(text) == int(text)
 
 
+class TestParser:
+    def test_missing_arguments_are_input_error(self, capsys):
+        assert main(["frontier"]) == 2
+        assert "the following arguments are required" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: realityvote")
+
+
 class TestRationalList:
     def test_parses(self):
-        assert parse_rational_list("0, 1/2,3") == (F(0), F(1, 2), F(3))
+        assert parse_rational_list("0,1/2,3") == (F(0), F(1, 2), F(3))
 
     def test_rejects_empty(self):
         with pytest.raises(Exception):

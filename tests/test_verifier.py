@@ -637,6 +637,7 @@ INTERVAL_LIVENESS_MECHANISMS = [
     Mechanism("md", participation="active"),
     Mechanism("md", re_tau=F(1, 4)),
     Mechanism("som", base_tau=F(1, 4), re_tau=F(1, 2), participation="active"),
+    Mechanism("md", re_tau=F(3, 2), participation="active"),  # a mover adds more than itself at r
 ]
 INTERVAL_LIVENESS_TARGETS = (F(-3), F(0), F(1, 2), F(2), F(5))
 
@@ -881,7 +882,9 @@ class TestAgainstDirectEnumeration:
     def test_interval_hull_matches_probed_mover_placements(self):
         # Place the movers on a fine probe grid (which the hull construction
         # never sees) and confirm every achieved median falls inside the
-        # hull and both endpoints are achieved.
+        # hull and both endpoints are achieved.  Each drawn instance is also
+        # checked at tau = 3/2, where a mover adds more virtual mass at r
+        # than its own weight.
         import itertools
 
         from realityvote.rules import Tally, evaluate_tally
@@ -896,17 +899,18 @@ class TestAgainstDirectEnumeration:
                     (rng.choice([ACTIVE, SYBIL]), F(rng.randint(-6, 6)))
                 )
             prof = build_profile(DomainSpec.interval(r), voters)
-            tau = rng.choice([F(0), F(1, 2)])
-            mech = Mechanism("md", re_tau=tau, participation="active")
+            mechs = [
+                Mechanism("md", re_tau=tau, participation="active")
+                for tau in (rng.choice([F(0), F(1, 2)]), F(3, 2))
+            ]
             budget = rng.randint(0, 2)
-            hull = outcome_range(mech, prof, F(budget, max(1, prof.n_honest)))
 
             honest = [
                 b for c, b in prof.voters if c is not VoterClass.SYBIL
             ]
             sybils = [b for c, b in prof.voters if c is VoterClass.SYBIL]
             probe = [F(k, 2) for k in range(-40, 41)]
-            achieved = set()
+            achieved = {mech: set() for mech in mechs}
             h = len(honest)
             for x in range(min(budget, h) + 1):
                 for removed in itertools.combinations(range(h), x):
@@ -917,15 +921,18 @@ class TestAgainstDirectEnumeration:
                             counts = {}
                             for b in ballots:
                                 counts[b] = counts.get(b, 0) + 1
-                            tally = Tally(counts=counts, q=mech.re_tau * len(ballots))
-                            achieved.add(evaluate_tally(mech, tally, prof.domain))
-            assert all(hull.contains(v) for v in achieved)
-            if hull.lo is not None and abs(hull.lo) <= 20:
-                assert hull.lo in achieved
-            if hull.hi is not None and abs(hull.hi) <= 20:
-                assert hull.hi in achieved
-            # the reachable set is convex: every probe point inside the
-            # hull is actually achieved
-            for t in probe:
-                if budget > 0 and hull.contains(t):
-                    assert t in achieved, (prof.voters, tau, budget, t)
+                            for mech in mechs:
+                                tally = Tally(counts=counts, q=mech.re_tau * len(ballots))
+                                achieved[mech].add(evaluate_tally(mech, tally, prof.domain))
+            for mech in mechs:
+                hull = outcome_range(mech, prof, F(budget, max(1, prof.n_honest)))
+                assert all(hull.contains(v) for v in achieved[mech])
+                if hull.lo is not None and abs(hull.lo) <= 20:
+                    assert hull.lo in achieved[mech]
+                if hull.hi is not None and abs(hull.hi) <= 20:
+                    assert hull.hi in achieved[mech]
+                # the reachable set is convex: every probe point inside the
+                # hull is actually achieved
+                for t in probe:
+                    if budget > 0 and hull.contains(t):
+                        assert t in achieved[mech], (prof.voters, mech.re_tau, budget, t)
