@@ -85,16 +85,15 @@ def _format_outcome(outcome) -> str:
 
 
 def _tally_order(domain, counts):
-    if domain.kind in ("binary", "categorical"):
-        order = {a: i for i, a in enumerate(domain.alternative_list())}
-        return sorted(
-            counts,
-            key=lambda b: (0, order[b]) if b in order else (1, tuple(order[x] for x in b)),
-        )
+    """The tally's (ballot, count) items in print order."""
     if domain.kind == "interval":  # on the integer index: exact, and no Fraction compares
         scale = rules.position_scale(counts)
-        return sorted(counts, key=lambda x: rules.scaled(x, scale))
-    return sorted(counts)  # hypercube points sort naturally
+        return sorted(counts.items(), key=lambda item: rules.scaled(item[0], scale))
+    if domain.kind == "hypercube":  # points sort naturally, and no two are equal
+        return sorted(counts.items())
+    order = {a: i for i, a in enumerate(domain.alternative_list())}
+    rank = lambda b: (0, order[b]) if b in order else (1, tuple(order[x] for x in b))
+    return sorted(counts.items(), key=lambda item: rank(item[0]))
 
 
 def cmd_eval(args) -> int:
@@ -108,8 +107,8 @@ def cmd_eval(args) -> int:
         print(f"visible: {tally.cast_total}")
         print(f"q: {format_rational(tally.q)}")
         print("tally:")
-        for ballot in _tally_order(profile.domain, tally.counts):
-            print(f"  {_format_outcome(ballot)}: {tally.counts[ballot]}")
+        for ballot, count in _tally_order(profile.domain, tally.counts):
+            print(f"  {_format_outcome(ballot)}: {count}")
     else:
         from . import proxy
 

@@ -4,9 +4,9 @@ Rationals travel as 'p/q' strings, never floats; the JSON canonicalization
 (sorted keys, compact separators) makes parse/serialize round-trips
 byte-identical.
 
-``profile_from_json`` parses each distinct ballot string once per call, in a
-dict local to the call keyed on strings only (``1 == True`` hash alike); every
-ballot is still checked by ``validate_ballot``.
+``profile_from_json`` reads each distinct (class, ballot string) entry once
+per call, in a dict local to the call that only strings and None enter
+(``1 == True`` hash alike), and checks it in full at its first voter.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from .population import (
     DomainSpec,
     Profile,
     VoterClass,
-    build_profile,
+    _assemble,
+    _checked_entry,
     format_rational,
 )
 
@@ -80,8 +81,9 @@ def parse_rational(text: str) -> Fraction:
     """The one text form of a rational, in files and on the command line: 'p' or 'p/q'."""
     match = _RATIO.fullmatch(text) if isinstance(text, str) else None
     denominator = int(match[2] or 1) if match else 0
-    _require(denominator != 0, f"rationals are exact 'p/q' strings, not {text!r}")
-    return Fraction(int(match[1]), denominator)
+    if not denominator:  # not _require: its message would be formatted on every call
+        raise InvalidBallot(f"rationals are exact 'p/q' strings, not {text!r}")
+    return Fraction(int(match[1])) if denominator == 1 else Fraction(int(match[1]), denominator)
 
 
 def parse_int(text: str) -> int:
@@ -165,24 +167,32 @@ def profile_from_json(text: str) -> Profile:
         domain = _domain_from_json(doc["domain"])
     except KeyError as exc:
         raise InvalidBallot(f"the domain lacks the {exc} field") from None
-    parsed = {}  # ballot string -> its ballot; other raws are parsed each time
-    entries = []
+    index = {}  # (class tag, ballot string or None) -> entry number
+    parsed = {}  # ballot string (or None) -> its ballot, in any class
+    entries, numbers = [], []
     for voter in doc["voters"]:
         if not isinstance(voter, dict):
             raise InvalidBallot(f"a voter entry must be an object, not {voter!r}")
-        tag = voter.get("class")
-        cls = _TAG_TO_CLASS.get(tag) if isinstance(tag, str) else None
-        if cls is None:
-            raise InvalidBallot(f"unknown voter class {tag!r}")
-        raw = voter.get("ballot")
-        if type(raw) is not str:
-            ballot = _ballot_from_json(domain, raw)
-        else:
-            ballot = parsed.get(raw)
+        key = voter.get("class"), voter.get("ballot")
+        try:
+            number = index.get(key)
+        except TypeError:  # a list: rankings and points are entries of their own
+            number = None
+        if number is None:  # a new entry, checked in full before the next voter
+            tag, raw = key
+            cls = _TAG_TO_CLASS.get(tag) if isinstance(tag, str) else None
+            if cls is None:
+                raise InvalidBallot(f"unknown voter class {tag!r}")
+            ballot = parsed.get(raw) if type(raw) is str else None
             if ballot is None:
-                ballot = parsed[raw] = _ballot_from_json(domain, raw)
-        entries.append((cls, ballot))
-    return build_profile(domain, entries)
+                ballot = _ballot_from_json(domain, raw)
+            number = len(entries)
+            entries.append(_checked_entry(domain, cls, ballot))
+            if raw is None or type(raw) is str:  # only text is shared: 1 == True
+                index[key] = number
+                parsed[raw] = ballot
+        numbers.append(number)
+    return _assemble(domain, entries, numbers)
 
 
 # ---------------------------------------------------------------------------
@@ -226,19 +236,16 @@ def frontier_rows(
     """One row per grid point, lexicographic in (sigma, mu, tau).  Points
     with sigma + mu >= 1 come back with the error sentinel instead of
     threshold values."""
-    for sigma in sigma_grid:
-        for mu in mu_grid:
-            for tau in tau_grid:
-                base = [
-                    setting.value,
-                    _rat(sigma),
-                    _dec(sigma),
-                    _rat(mu),
-                    _dec(mu),
-                    _rat(tau),
-                    _dec(tau),
-                ]
-                if sigma + mu >= 1 or sigma >= 1 or mu >= 1:
+    def cells(grid):  # each grid value formatted once per call
+        return [(value, _rat(value), _dec(value)) for value in grid]
+
+    mus, taus = cells(mu_grid), cells(tau_grid)
+    for sigma, *sigma_cells in cells(sigma_grid):
+        for mu, *mu_cells in mus:
+            degenerate = sigma + mu >= 1 or sigma >= 1 or mu >= 1
+            for tau, *tau_cells in taus:
+                base = [setting.value, *sigma_cells, *mu_cells, *tau_cells]
+                if degenerate:
                     yield base + [""] * 9 + ["degenerate"]
                     continue
                 rep: GuaranteeReport = report(setting, sigma, mu, tau)

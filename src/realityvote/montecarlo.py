@@ -204,7 +204,7 @@ def hoeffding_diagnostic(
     if n_plus > honest or n_plus < 1:
         raise SampleTooLarge("active sample must fit inside the honest set")
     psi = Fraction(honest_p, honest)
-    cutoff = (psi + epsilon) * n_plus
+    cutoff = math.ceil((psi + epsilon) * n_plus)  # an int draw reaches c iff it reaches ceil(c)
 
     overshoots = sum(
         active_p >= cutoff

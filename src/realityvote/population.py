@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -170,6 +171,18 @@ BallotCounts = Dict[Optional[Ballot], int]  # a missing private ballot under Non
 CountTable = Dict[VoterClass, BallotCounts]
 
 
+def _count_table(entries: Iterable[Voter], hits: Iterable[int]) -> CountTable:
+    """The count table of entries with their counts, ballots in first-occurrence order."""
+    counts = {cls: {} for cls in (*HONEST_CLASSES, VoterClass.SYBIL)}
+    for (cls, ballot), k in zip(entries, hits):
+        by_ballot = counts[cls]
+        size = len(by_ballot)
+        total = by_ballot.setdefault(ballot, k)  # a new ballot is hashed once
+        if len(by_ballot) == size:
+            by_ballot[ballot] = total + k
+    return counts
+
+
 def ballot_counts(counts: CountTable, classes: Iterable[VoterClass]) -> BallotCounts:
     """Ballot counts summed over the given voter classes (a new dict)."""
     merged: BallotCounts = {}
@@ -200,12 +213,10 @@ class Profile:
 
     @cached_property
     def counts(self) -> CountTable:
-        """The voters' count table, derived once from ``voters``; read-only."""
-        counts = {cls: {} for cls in (*HONEST_CLASSES, VoterClass.SYBIL)}
-        for cls, ballot in self.voters:
-            by_ballot = counts[cls]
-            by_ballot[ballot] = by_ballot.get(ballot, 0) + 1
-        return counts
+        """The voters' count table, derived once on first read; read-only."""
+        # each voter its own entry, unless _assemble left the distinct entries
+        entries, numbers = self.__dict__.pop("_numbered", (self.voters, range(self.n)))
+        return _count_table(entries, Counter(numbers).values())  # numbers count up from 0
 
     @property
     def n_sybil(self) -> int:
@@ -246,6 +257,42 @@ class Profile:
         return None not in self.counts[VoterClass.HONEST_PASSIVE]
 
 
+def _counted_profile(domain: DomainSpec, voters: Tuple[Voter, ...], counts: CountTable) -> Profile:
+    """A Profile given the count table that its voters would be counted into."""
+    profile = Profile(domain=domain, voters=voters)
+    profile.__dict__["counts"] = counts  # where cached_property keeps its value
+    return profile
+
+
+def _checked_entry(domain: DomainSpec, cls: VoterClass, ballot: Optional[Ballot]) -> Voter:
+    """One (class, ballot) entry checked, its ballot canonicalized."""
+    if not isinstance(cls, VoterClass):
+        raise PassiveSybil(f"unknown voter class {cls!r}")
+    if ballot is not None:
+        return cls, domain.validate_ballot(ballot)
+    if cls is VoterClass.SYBIL:
+        raise SybilWithoutBallot("all sybils vote; sybil entry lacks a ballot")
+    if cls is VoterClass.HONEST_ACTIVE:
+        raise InvalidBallot("active honest voters must carry a ballot")
+    return cls, None
+
+
+def _assemble(domain: DomainSpec, entries: Sequence[Voter], numbers: Sequence[int]) -> Profile:
+    """A Profile from distinct checked entries, numbered in first-occurrence
+    order, and each voter's entry number.  The voters share the entry tuples;
+    ``counts`` counts the entry numbers when it is first read."""
+    if not numbers:
+        raise NoActiveHonest("a profile needs at least one voter")
+    if domain.kind == "categorical":
+        if len({isinstance(b, tuple) for _, b in entries if b is not None}) == 2:
+            raise MixedBallotKind("cannot mix ranking and single-choice ballots")
+    if all(cls is not VoterClass.HONEST_ACTIVE for cls, _ in entries):
+        raise NoActiveHonest("at least one honest voter must be active")
+    profile = Profile(domain=domain, voters=tuple(map(entries.__getitem__, numbers)))
+    profile.__dict__["_numbered"] = entries, numbers
+    return profile
+
+
 def build_profile(
     domain: DomainSpec, entries: Sequence[Tuple[VoterClass, Optional[Ballot]]]
 ) -> Profile:
@@ -254,37 +301,11 @@ def build_profile(
     Raises NoActiveHonest when every honest voter is passive (the model
     requires at least one active honest voter), SybilWithoutBallot /
     PassiveSybil for malformed sybil entries, and MixedBallotKind when a
-    categorical profile mixes rankings with single choices.
+    categorical profile mixes rankings with single choices.  Equal entries
+    are not merged, since ``1 == True == Fraction(1)``.
     """
-    if not entries:
-        raise NoActiveHonest("a profile needs at least one voter")
-    categorical = domain.kind == "categorical"
-    validate = domain.validate_ballot
-    sybil, active = VoterClass.SYBIL, VoterClass.HONEST_ACTIVE
-    validated = []
-    saw_ranking = saw_single = saw_active = False
-    for cls, ballot in entries:
-        if not isinstance(cls, VoterClass):
-            raise PassiveSybil(f"unknown voter class {cls!r}")
-        saw_active = saw_active or cls is active
-        if ballot is None:
-            if cls is sybil:
-                raise SybilWithoutBallot("all sybils vote; sybil entry lacks a ballot")
-            if cls is active:
-                raise InvalidBallot("active honest voters must carry a ballot")
-        else:
-            ballot = validate(ballot)
-            if categorical:
-                if isinstance(ballot, tuple):
-                    saw_ranking = True
-                else:
-                    saw_single = True
-        validated.append((cls, ballot))
-    if saw_ranking and saw_single:
-        raise MixedBallotKind("cannot mix ranking and single-choice ballots")
-    if not saw_active:
-        raise NoActiveHonest("at least one honest voter must be active")
-    return Profile(domain=domain, voters=tuple(validated))
+    checked = [_checked_entry(domain, cls, ballot) for cls, ballot in entries]
+    return _assemble(domain, checked, range(len(checked)))
 
 
 def project_to_pair(profile: Profile, x: Rational, y: Rational) -> Profile:

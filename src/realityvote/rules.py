@@ -109,7 +109,7 @@ def tally_ballots(ballots: Iterable[Ballot], q: Rational = 0) -> Tally:
 # then one bisection over the ascending candidate positions for the least
 # one whose inclusive prefix mass reaches a target.
 
-MassEntry = Tuple[Fraction, Fraction]  # (position, mass)
+MassEntry = Tuple[Fraction, Rational]  # (position, mass)
 Prefix = Callable[[int], int]  # candidate index -> inclusive prefix mass
 
 
@@ -183,7 +183,8 @@ def mass_index(entries: Iterable[MassEntry]) -> Tuple[int, List[int], List[int]]
     inclusive prefix masses scaled to integers by the masses' common
     denominator.
     """
-    entries = [(as_fraction(p), as_fraction(m)) for p, m in entries]
+    # int masses (a tally's counts) stay ints; int.denominator is 1
+    entries = [(as_fraction(p), m if type(m) is int else as_fraction(m)) for p, m in entries]
     if any(m < 0 for _, m in entries):
         raise EmptyElectorate("negative mass")
     scale = position_scale(p for p, _ in entries)

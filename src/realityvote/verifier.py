@@ -56,6 +56,7 @@ from .population import (
     Profile,
     Rational,
     VoterClass,
+    _counted_profile,
     as_fraction,
     ballot_counts,
     build_profile,
@@ -340,11 +341,11 @@ def _cached_range(mechanism: Mechanism, profile: Profile, gamma: Fraction) -> Ou
 
 def honest_only(profile: Profile) -> Profile:
     """The honest sub-population (validated voters filtered), for evaluating
-    the base rule on H."""
+    the base rule on H; it shares the profile's honest count rows."""
     if not profile.has_full_honest_ballots():
         raise MissingPrivateBallots("safety needs passive voters' private ballots")
     honest = tuple(v for v in profile.voters if v[0] is not VoterClass.SYBIL)
-    return Profile(domain=profile.domain, voters=honest)
+    return _counted_profile(profile.domain, honest, {**profile.counts, VoterClass.SYBIL: {}})
 
 
 def is_safe(

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,10 @@ from hypothesis import strategies as st
 
 from realityvote import DomainSpec, build_profile
 from realityvote.cli import main, parse_mechanism
-from realityvote.errors import MechanismMismatch
+from realityvote.errors import InvalidBallot, MechanismMismatch, MixedBallotKind, NoActiveHonest
 from realityvote.formats import (
+    _ballot_from_json,
+    _domain_from_json,
     parse_int,
     parse_rational,
     parse_rational_list,
@@ -195,6 +198,31 @@ class TestProfileFormat:
         assert main(["eval", "--profile", str(path), "--mechanism", "mj"]) == 2
         assert "error (input)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "domain, voters, message",
+        [
+            pytest.param(
+                INTERVAL,
+                [{"class": "sybil", "ballot": None}, {"class": "honest_active", "ballot": "1/0"}],
+                "sybil entry lacks a ballot",
+                id="interval-sybil-without-ballot-before-bad-rational",
+            ),
+            pytest.param(
+                BIN,
+                [{"class": "honest_active", "ballot": "x"}, {"class": "spy", "ballot": "p"}],
+                "got 'x'",
+                id="binary-bad-ballot-before-unknown-class",
+            ),
+        ],
+    )
+    def test_first_bad_voter_decides(self, domain, voters, message, tmp_path, capsys):
+        """A later voter's parse or class fault does not beat an earlier
+        voter's ballot fault."""
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"domain": domain, "voters": voters}))
+        assert main(["eval", "--profile", str(path), "--mechanism", "mj"]) == 2
+        assert message in capsys.readouterr().err
+
     def test_repeated_strings_load_as_their_fractions(self):
         classes = ["honest_active", "honest_active", "honest_passive", "sybil"]
         voters = [{"class": c, "ballot": "1/2"} for c in classes]
@@ -220,6 +248,121 @@ class TestProfileFormat:
         text = profile_to_json(prof)
         assert "2/7" in text and "1/3" in text
         assert profile_from_json(text) == prof
+
+
+TAGS = {"honest_active": ACTIVE, "honest_passive": PASSIVE, "sybil": SYBIL}
+CATEGORICAL = {"kind": "categorical", "alternatives": ["r", "a", "b"], "r": "r"}
+# Raw ballots per document kind; "2/4" and "1/2" are one position, 7 takes
+# the per-voter path, and "mixed" mixes single choices with a ranking.
+DOC_BALLOTS = {
+    "binary": ({"kind": "binary", "r": "r", "p": "p"}, ["r", "p"]),
+    "interval": ({"kind": "interval", "r": "1/2"}, ["1/2", "2/4", "-3", "0", 7]),
+    "categorical": (CATEGORICAL, ["r", "a", "b"]),
+    "rankings": (CATEGORICAL, [["r", "a", "b"], ["b", "a", "r"], ["a", "b", "r"]]),
+    "mixed": (CATEGORICAL, ["r", "a", ["a", "b", "r"]]),
+    "hypercube": ({"kind": "hypercube", "d": 2, "r": [0, 0]}, [[0, 0], [0, 1], [1, 1]]),
+}
+VOTER_FAULTS = [
+    "honest_active",
+    {"ballot": "r"},
+    {"class": "spy", "ballot": "r"},
+    {"class": 1, "ballot": "r"},
+    {"class": ["sybil"], "ballot": "r"},
+    {"class": "sybil", "ballot": None},
+    {"class": "honest_active", "ballot": None},
+    {"class": "honest_active", "ballot": "x"},
+    {"class": "sybil", "ballot": "1/0"},
+    {"class": "honest_passive", "ballot": True},
+    {"class": "honest_active", "ballot": 1},
+    {"class": "honest_active", "ballot": 1.5},
+    {"class": "sybil", "ballot": [0, 2]},
+]
+
+
+@st.composite
+def documents(draw, max_faults=2):
+    """Profile documents with repeated entries and up to max_faults bad voters."""
+    domain, ballots = DOC_BALLOTS[draw(st.sampled_from(sorted(DOC_BALLOTS)))]
+    voter = st.one_of(
+        st.fixed_dictionaries(
+            {"class": st.sampled_from(sorted(TAGS)), "ballot": st.sampled_from(ballots)}
+        ),
+        st.just({"class": "honest_passive", "ballot": None}),
+    )
+    voters = draw(st.lists(voter, min_size=1, max_size=16))
+    for fault in draw(st.lists(st.sampled_from(VOTER_FAULTS), max_size=max_faults)):
+        voters.insert(draw(st.integers(0, len(voters))), fault)
+    return json.dumps({"domain": domain, "voters": voters})
+
+
+def per_voter_read(text):
+    """A plain reader: each voter parsed, then build_profile run on the voters
+    so far (so the first bad voter decides), then a recount of every voter."""
+    doc = json.loads(text)
+    domain = _domain_from_json(doc["domain"])
+    entries = []
+    for voter in doc["voters"]:
+        if not isinstance(voter, dict):
+            raise InvalidBallot(f"a voter entry must be an object, not {voter!r}")
+        tag = voter.get("class")
+        if not (isinstance(tag, str) and tag in TAGS):
+            raise InvalidBallot(f"unknown voter class {tag!r}")
+        entries.append((TAGS[tag], _ballot_from_json(domain, voter.get("ballot"))))
+        try:
+            build_profile(domain, entries)
+        except (MixedBallotKind, NoActiveHonest):  # only the whole list decides these
+            pass
+    profile = build_profile(domain, entries)
+    counts = {cls: {} for cls in TAGS.values()}
+    for cls, ballot in profile.voters:
+        counts[cls][ballot] = counts[cls].get(ballot, 0) + 1
+    return profile, counts
+
+
+def _read(reader, text):
+    try:
+        return reader(text)
+    except Exception as exc:  # both readers must fail alike
+        return type(exc), str(exc)
+
+
+class TestOnePassReader:
+    """profile_from_json checks and counts each distinct entry once; it must
+    read every document exactly as a per-voter reader does."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(documents())
+    def test_matches_the_per_voter_reader(self, text):
+        loaded = _read(profile_from_json, text)
+        expected = _read(per_voter_read, text)
+        if isinstance(expected, tuple) and isinstance(expected[0], type):
+            assert loaded == expected
+            return
+        profile, counts = expected
+        assert loaded == profile
+        assert [(c, type(b)) for c, b in loaded.voters] == [(c, type(b)) for c, b in profile.voters]
+        assert list(loaded.counts) == list(counts)
+        assert [list(row.items()) for row in loaded.counts.values()] == [
+            list(row.items()) for row in counts.values()
+        ]
+
+    def test_each_distinct_entry_is_validated_once(self, monkeypatch):
+        rng = random.Random(5)
+        voters = [
+            {"class": rng.choice(sorted(TAGS)), "ballot": rng.choice("rp")} for _ in range(1000)
+        ]
+        calls = []
+        validate = DomainSpec.validate_ballot
+
+        def spy(domain, ballot, *args):
+            calls.append(ballot)
+            return validate(domain, ballot, *args)
+
+        monkeypatch.setattr(DomainSpec, "validate_ballot", spy)
+        text = json.dumps({"domain": {"kind": "binary", "r": "r", "p": "p"}, "voters": voters})
+        profile = profile_from_json(text)
+        assert len(calls) <= len({(v["class"], v["ballot"]) for v in voters}) == 6
+        assert profile.n == 1000 and len({id(voter) for voter in profile.voters}) == 6
 
 
 # A small interval profile for the eval order: negative and mixed-denominator

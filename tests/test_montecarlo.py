@@ -250,3 +250,20 @@ class TestBinaryTrialDraw:
         overshoots = sum(k >= (F(30, 80) + F(1, 10)) * 20 for k in draws)
         assert 0 < overshoots < 300
         assert hoeffding_diagnostic(template, 20, F(1, 10), 300, 17).violation_count == overshoots
+
+    # 80 honest voters, 30 for p, 16 active: the expected proposal count is 6.
+    def test_hoeffding_integral_cutoff_counts_equality(self):
+        template = binary_profile(active="p" * 30 + "r" * 50)
+        draws = self.reference_draws(30, 80, 16, 300, 23)
+        cutoff = (F(30, 80) + F(1, 8)) * 16
+        assert cutoff == 8 and 8 in draws
+        overshoots = sum(k >= 8 for k in draws)
+        assert hoeffding_diagnostic(template, 16, F(1, 8), 300, 23).violation_count == overshoots
+
+    def test_hoeffding_fractional_cutoff(self):
+        template = binary_profile(active="p" * 30 + "r" * 50)
+        draws = self.reference_draws(30, 80, 16, 300, 29)
+        cutoff = (F(30, 80) + F(1, 10)) * 16
+        assert cutoff == F(38, 5) and {7, 8} <= set(draws)
+        overshoots = sum(k >= 8 for k in draws)
+        assert hoeffding_diagnostic(template, 16, F(1, 10), 300, 29).violation_count == overshoots

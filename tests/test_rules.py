@@ -20,6 +20,7 @@ from realityvote.rules import (
     evaluate_tally,
     issuewise_majority,
     majority,
+    mass_index,
     median,
     plurality,
     suppress_outer_median,
@@ -347,6 +348,20 @@ def draw_q(data, edge):
     if edge >= 0 and data.draw(st.booleans()):
         return edge
     return data.draw(FREE_Q)
+
+
+class TestMassIndex:
+    def test_int_masses_index_like_their_fractions(self):
+        entries = [(F(1, 2), 3), (F(-1, 3), 2), (F(1, 2), 0), (F(2), F(5, 4)), (F(0), 1)]
+        scale, xs, cum = mass_index(entries)
+        assert (scale, xs, cum) == mass_index([(p, F(m)) for p, m in entries])
+        assert (scale, xs, cum) == (6, [-2, 0, 3, 12], [8, 12, 24, 29])
+        assert all(type(c) is int for c in cum)
+
+    @pytest.mark.parametrize("mass", [1.0, True])
+    def test_float_and_bool_masses_are_type_errors(self, mass):
+        with pytest.raises(TypeError):
+            mass_index([(F(0), 1), (F(1), mass)])
 
 
 class TestIntegerMassesMatchFractionReference:

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from realityvote import (
@@ -35,7 +35,7 @@ from realityvote.errors import (
     UnrealizableShape,
 )
 from realityvote.guarantees import Setting, liveness_threshold, safety_threshold
-from realityvote.population import VoterClass
+from realityvote.population import Profile, VoterClass
 from realityvote.verifier import (
     _binary_counts,
     _binary_outcome,
@@ -43,7 +43,7 @@ from realityvote.verifier import (
     honest_only,
 )
 
-from conftest import ACTIVE, PASSIVE, SYBIL, binary_profile, interval_profile
+from conftest import ACTIVE, PASSIVE, SYBIL, binary_profile, interval_profile, profiles
 
 F = Fraction
 MJ = Mechanism("mj")
@@ -116,6 +116,16 @@ class TestIsSafe:
     def test_honest_only_strips_sybils(self, example_partial):
         assert honest_only(example_partial).n_sybil == 0
         assert honest_only(example_partial).n == 3
+
+    @given(profiles())
+    def test_honest_only_keeps_the_table_of_its_voters(self, prof):
+        assume(prof.has_full_honest_ballots())
+        honest = honest_only(prof)
+        recount = Profile(domain=prof.domain, voters=honest.voters).counts
+        assert [list(row.items()) for row in honest.counts.values()] == [
+            list(row.items()) for row in recount.values()
+        ]
+        assert list(honest.counts) == list(recount) and honest.counts[SYBIL] == {}
 
 
 class TestIsLive:
