@@ -99,13 +99,17 @@ def _tally_order(domain, counts):
 def cmd_eval(args) -> int:
     profile = _load_profile(args.profile)
     mechanism = parse_mechanism(args.mechanism)
-    outcome = rules.apply(mechanism, profile)
+    if mechanism.participation == "proxy":
+        outcome = rules.apply(mechanism, profile)
+    else:  # rules.apply, keeping the tally to print
+        rules._rule(mechanism, profile.domain)  # a mismatch is reported first
+        tally = rules.build_tally(mechanism, profile.counts)
+        outcome = rules.evaluate_tally(mechanism, tally, profile.domain)
     print(f"mechanism: {mechanism.describe()}")
     print(f"outcome: {_format_outcome(outcome)}")
     if mechanism.participation != "proxy":
-        tally = rules.build_tally(mechanism, profile.counts)
         print(f"visible: {tally.cast_total}")
-        print(f"q: {format_rational(tally.q)}")
+        print(f"q: {format_rational(tally.virtual_mass)}")
         print("tally:")
         for ballot, count in _tally_order(profile.domain, tally.counts):
             print(f"  {_format_outcome(ballot)}: {count}")

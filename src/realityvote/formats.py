@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InvalidBallot
-from .guarantees import GuaranteeReport, Setting, report
+from .guarantees import Setting, _reports
 from .population import (
     Ballot,
     DomainSpec,
@@ -242,25 +242,18 @@ def frontier_rows(
     mus, taus = cells(mu_grid), cells(tau_grid)
     for sigma, *sigma_cells in cells(sigma_grid):
         for mu, *mu_cells in mus:
-            degenerate = sigma + mu >= 1 or sigma >= 1 or mu >= 1
-            for tau, *tau_cells in taus:
-                base = [setting.value, *sigma_cells, *mu_cells, *tau_cells]
-                if degenerate:
-                    yield base + [""] * 9 + ["degenerate"]
-                    continue
-                rep: GuaranteeReport = report(setting, sigma, mu, tau)
-                lo, hi = (rep.feasible_tau or (None, None))
-                yield base + [
-                    _rat(rep.alpha_star),
-                    _dec(rep.alpha_star),
-                    _rat(rep.beta_star),
-                    _dec(rep.beta_star),
-                    "0" if rep.impossibility else "1",
-                    _rat(lo),
-                    _dec(lo),
-                    _rat(hi),
-                    _dec(hi),
-                    "",
+            base = [setting.value, *sigma_cells, *mu_cells]
+            if sigma + mu >= 1 or sigma >= 1 or mu >= 1 or not taus:
+                for _, *tau_cells in taus:
+                    yield base + tau_cells + [""] * 9 + ["degenerate"]
+                continue
+            reports = _reports(setting, sigma, mu, [tau for tau, *_ in taus])
+            lo, hi = reports[0].feasible_tau or (None, None)  # one window per (sigma, mu)
+            window_cells = ["0" if lo is None else "1", _rat(lo), _dec(lo), _rat(hi), _dec(hi)]
+            for (_, *tau_cells), rep in zip(taus, reports):
+                alpha, beta = rep.alpha_star, rep.beta_star
+                yield base + tau_cells + [
+                    _rat(alpha), _dec(alpha), _rat(beta), _dec(beta), *window_cells, ""
                 ]
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import DegenerateParams
 from .population import Rational, as_fraction
@@ -32,18 +32,18 @@ TauWindow = Tuple[Fraction, Fraction]  # [tau_lo, tau_hi)
 
 
 def _checked(
-    sigma: Rational, mu: Rational, tau: Rational = 0, name: str = "tau"
-) -> Tuple[Fraction, Fraction, Fraction]:
+    sigma: Rational, mu: Rational, *taus: Rational, name: str = "tau"
+) -> Tuple[Fraction, ...]:
     """The parameters as Fractions, once every one is checked; ``name`` is
-    what the nonnegative third one is called in the error."""
-    sigma, mu, tau = as_fraction(sigma), as_fraction(mu), as_fraction(tau)
+    what the nonnegative ones after sigma and mu are called in the error."""
+    sigma, mu, *taus = map(as_fraction, (sigma, mu, *taus))
     if not (0 <= sigma < 1 and 0 <= mu < 1):
         raise DegenerateParams("sigma and mu must lie in [0, 1)")
     if sigma + mu >= 1:
         raise DegenerateParams("sigma + mu must stay below 1")
-    if tau < 0:
+    if any(tau < 0 for tau in taus):
         raise DegenerateParams(f"{name} must be nonnegative")
-    return sigma, mu, tau
+    return (sigma, mu, *taus)
 
 
 def _tau_weight(setting: Setting) -> int:
@@ -141,7 +141,7 @@ def feasibility(setting: Setting, sigma: Rational, mu: Rational) -> GuaranteeRep
     multiplied by 1 - mu > 0, tau_lo < tau_hi is the negation of each.  The
     report is evaluated at tau_lo when the window is nonempty, else at 0.
     """
-    sigma, mu, _ = _checked(sigma, mu)
+    sigma, mu = _checked(sigma, mu)
     window = _window(setting, sigma, mu)
     tau = max(Fraction(0), window[0]) if window else Fraction(0)
     return _report(setting, sigma, mu, tau, window)
@@ -152,14 +152,22 @@ def required_tau(
 ) -> Fraction:
     """Minimal tau achieving the requested safety level, by inverting the
     safety threshold; clamped at 0 and nonincreasing in the target."""
-    sigma, mu, alpha_target = _checked(sigma, mu, alpha_target, "alpha target")
+    sigma, mu, alpha_target = _checked(sigma, mu, alpha_target, name="alpha target")
     return max(Fraction(0), _tau_for(setting, sigma, mu, alpha_target))
 
 
 def report(setting: Setting, sigma: Rational, mu: Rational, tau: Rational) -> GuaranteeReport:
     """Full report for one parameter triple (window: see feasibility)."""
-    sigma, mu, tau = _checked(sigma, mu, tau)
-    return _report(setting, sigma, mu, tau, _window(setting, sigma, mu))
+    return _reports(setting, sigma, mu, [tau])[0]
+
+
+def _reports(
+    setting: Setting, sigma: Rational, mu: Rational, taus: Sequence[Rational]
+) -> List[GuaranteeReport]:
+    """report at each tau of a grid; the window of (sigma, mu) is computed once."""
+    sigma, mu, *taus = _checked(sigma, mu, *taus)
+    window = _window(setting, sigma, mu)
+    return [_report(setting, sigma, mu, tau, window) for tau in taus]
 
 
 def _report(

@@ -11,6 +11,7 @@ execution therefore agree bit-for-bit.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -136,12 +137,13 @@ def run_safety_whp(exp: Experiment) -> TrialStats:
         exp.base, verifier.honest_only(exp.profile), exp.alpha_prime
     ).safe_region(domain)
     violations = 0
-    for active_p in _supporter_draws(honest_p, h, exp.n_plus, exp.trials, exp.seed):
+    draws = Counter(_supporter_draws(honest_p, h, exp.n_plus, exp.trials, exp.seed))
+    for active_p, hits in draws.items():  # a trial's outcome depends only on its draw
         trial = verifier._binary_counts(
             domain, active_p, exp.n_plus, honest_p - active_p, h - exp.n_plus, sybil_p, s
         )
         if not region.contains(verifier._binary_outcome(exp.mechanism, domain, trial)):
-            violations += 1
+            violations += hits
     return _trial_stats(violations, exp.trials, bound)
 
 

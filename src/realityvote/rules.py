@@ -2,10 +2,10 @@
 
 Every rule returns a single alternative and settles ties toward the status
 quo.  The reality-enforcing wrapper adds a virtual vote mass ``q`` for the
-status quo before the base rule runs; ``q`` is kept as an exact rational
-(tau times the visible electorate), never rounded to a whole number of
-voters, which keeps the supermajority and suppressed-median equivalences
-exact on knife-edge profiles.
+status quo before the base rule runs; tau times the visible electorate is
+held as an int ``q`` over the unit tau's denominator, never rounded to a
+whole number of voters, and the threshold rules compare cross-multiplied
+ints, which keeps every tie rule exact on knife-edge profiles.
 A tally sums a population's count table (``population.CountTable``) over
 the voter classes the participation mode shows (``visible_classes``).
 """
@@ -72,18 +72,27 @@ class Mechanism:
         return f"{name} mode:{self.participation}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Tally:
-    """Cast vote masses per alternative plus the virtual status-quo mass q.
+    """Cast vote masses per alternative plus the virtual status-quo mass.
 
-    Cast masses are nonnegative integers (counts) and stay ints: the rules
-    compare them, or their differences, with q or with one rational
-    threshold, which is exact.  q = re_tau times the number of voters
-    visible to the mechanism, an exact rational.
+    Cast masses are nonnegative integers (counts).  The virtual mass, re_tau
+    times the number of voters visible to the mechanism, is the int q over
+    the int unit re_tau's denominator (a Fraction q over unit 1 means the
+    same), so the rules compare ints cross-multiplied by the unit.
     """
 
     counts: Dict[Ballot, int] = field(default_factory=dict)
-    q: Fraction = Fraction(0)
+    q: Rational = 0
+    unit: int = 1
+
+    def __eq__(self, other: object) -> bool:  # equal masses, whatever the units
+        return isinstance(other, Tally) and self.counts == other.counts and (
+            self.q * other.unit == other.q * self.unit)
+
+    @property
+    def virtual_mass(self) -> Fraction:
+        return Fraction(self.q, self.unit)
 
     @property
     def cast_total(self) -> int:
@@ -202,25 +211,30 @@ def mass_index(entries: Iterable[MassEntry]) -> Tuple[int, List[int], List[int]]
 # Base rules.  Each consumes a Tally built from the visible ballots.
 
 
+def _scaled_threshold(tau: Rational, unit: int) -> Tuple[int, int]:
+    """(a, b): mass > (1/2 + tau) * total / unit exactly when a * mass > b * total."""
+    tau = as_fraction(tau)
+    return 2 * tau.denominator * unit, tau.denominator + 2 * tau.numerator
+
+
 def majority(tally: Tally, domain: DomainSpec) -> Ballot:
     """Binary majority: the proposal wins only by strictly outmassing the
     status quo plus the virtual mass q; ties go to the status quo."""
     r, p = domain.status_quo, domain.proposal
-    if tally.mass(p) - tally.mass(r) > tally.q:
+    if (tally.mass(p) - tally.mass(r)) * tally.unit > tally.q:
         return p
     return r
 
 
-def supermajority(tau: Fraction, tally: Tally, domain: DomainSpec) -> Ballot:
+def supermajority(tau: Rational, tally: Tally, domain: DomainSpec) -> Ballot:
     """tau-supermajority: elect the (unique) non-status-quo alternative whose
     cast votes strictly exceed a (1/2 + tau) fraction of all votes seen,
     virtual mass included; otherwise keep the status quo."""
-    tau = as_fraction(tau)
     r = domain.r
-    total = tally.cast_total + tally.q
-    threshold = (Fraction(1, 2) + tau) * total
+    scale, threshold = _scaled_threshold(tau, tally.unit)
+    total = threshold * (tally.cast_total * tally.unit + tally.q)
     for alternative in domain.alternative_list():
-        if alternative != r and tally.mass(alternative) > threshold:
+        if alternative != r and scale * tally.mass(alternative) > total:
             return alternative
     return r
 
@@ -231,10 +245,10 @@ def plurality(tally: Tally, domain: DomainSpec) -> Ballot:
     domain's alternative order."""
     r = domain.r
     best = max((a for a in domain.alternative_list() if a != r), key=tally.mass)  # first of equals
-    return best if tally.mass(best) - tally.mass(r) > tally.q else r
+    return best if (tally.mass(best) - tally.mass(r)) * tally.unit > tally.q else r
 
 
-def condorcet_conservative(tau: Fraction, tally: Tally, domain: DomainSpec) -> Ballot:
+def condorcet_conservative(tau: Rational, tally: Tally, domain: DomainSpec) -> Ballot:
     """Pick the alternative that tau-super-beats every other; else status quo.
 
     Ballots must be full rankings.  An alternative beats another when
@@ -242,8 +256,8 @@ def condorcet_conservative(tau: Fraction, tally: Tally, domain: DomainSpec) -> B
     virtual mass q sides with the status quo in every contest involving it
     and abstains elsewhere.
     """
-    tau = as_fraction(tau)
     r = domain.r
+    scale, threshold = _scaled_threshold(tau, tally.unit)
     alternatives = domain.alternative_list()
     pref: Dict[Tuple[Ballot, Ballot], int] = {}
     cast = 0
@@ -256,11 +270,8 @@ def condorcet_conservative(tau: Fraction, tally: Tally, domain: DomainSpec) -> B
                 pref[(upper, lower)] = pref.get((upper, lower), 0) + count
 
     def beats(a: Ballot, b: Ballot) -> bool:
-        support = pref.get((a, b), 0)
-        contest_total = cast
-        if r in (a, b):
-            contest_total += tally.q
-        return support > (Fraction(1, 2) + tau) * contest_total
+        contest_total = cast * tally.unit + (tally.q if r in (a, b) else 0)
+        return scale * pref.get((a, b), 0) > threshold * contest_total
 
     for candidate in alternatives:
         if candidate != r and all(beats(candidate, b) for b in alternatives if b != candidate):
@@ -277,7 +288,7 @@ def issuewise_majority(tally: Tally, domain: DomainSpec) -> Ballot:
     for j, rj in enumerate(domain.status_quo_point):
         ones = sum(c for b, c in tally.counts.items() if b[j] == 1)
         lead = (2 * ones - cast) * (1 if rj == 0 else -1)  # the other value's lead over rj
-        result.append(1 - rj if lead > tally.q else rj)
+        result.append(1 - rj if lead * tally.unit > tally.q else rj)
     return tuple(result)
 
 
@@ -287,7 +298,7 @@ def _tally_index(
     """The tally's cast counts plus the virtual mass q at r, indexed; r is
     returned scaled."""
     r = domain.status_quo_position
-    scale, xs, cum = mass_index([*tally.counts.items(), (r, tally.q)])
+    scale, xs, cum = mass_index([*tally.counts.items(), (r, tally.virtual_mass)])
     if not xs:
         raise EmptyElectorate("median of an empty electorate")
     return scale, xs, cum, scaled(r, scale)
@@ -334,7 +345,8 @@ def build_tally(mechanism: Mechanism, counts: CountTable) -> Tally:
     electorate = sum(cast.values())
     if mechanism.participation == "proxy":
         electorate = sum(sum(by_ballot.values()) for by_ballot in counts.values())
-    return Tally(counts=cast, q=mechanism.re_tau * electorate)
+    re_tau = mechanism.re_tau
+    return Tally(cast, re_tau.numerator * electorate, re_tau.denominator)
 
 
 #: Base rule -> (its evaluator on (mechanism, tally, domain), the domain

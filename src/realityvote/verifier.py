@@ -190,6 +190,7 @@ def _least_cost(
     types = sorted(honest_counts, key=repr)
     bounds = [honest_counts[t] for t in types]
     h = sum(bounds)
+    per_voter, unit = mechanism.re_tau.numerator, mechanism.re_tau.denominator
     work = 0
     for y in range(cap + 1):
         for x in range(min(y, h) + 1):
@@ -198,7 +199,7 @@ def _least_cost(
                 for t, kept, taken in zip(types, bounds, removal):
                     if kept - taken:
                         base[t] = base.get(t, 0) + kept - taken
-                q = mechanism.re_tau * (sum(base.values()) + y)
+                q = per_voter * (sum(base.values()) + y)
                 for spread in _bounded_compositions(y, (y,) * bins):
                     work += 1
                     if work > _WORK_LIMIT:
@@ -210,8 +211,7 @@ def _least_cost(
                     for ballot, added in zip(support, spread):
                         if added:
                             counts[ballot] = counts.get(ballot, 0) + added
-                    tally = Tally(counts=counts, q=q)
-                    if rules.evaluate_tally(mechanism, tally, domain) == target:
+                    if rules.evaluate_tally(mechanism, Tally(counts, q, unit), domain) == target:
                         return y
     return None
 

@@ -13,7 +13,7 @@ from realityvote import (
     required_tau,
     safety_threshold,
 )
-from realityvote import guarantees
+from realityvote import formats, guarantees
 from realityvote.errors import DegenerateParams
 from realityvote.population import as_fraction
 
@@ -386,3 +386,12 @@ class TestOneCheckPerCall:
         windows.clear()
         feasibility(SMJ, F(1, 10), F(1, 5))
         assert (len(checks), len(windows)) == (1, 1)
+
+    def test_frontier_checks_once_per_sigma_and_mu(self, monkeypatch):
+        checks = self.spy(monkeypatch, "_checked")
+        windows = self.spy(monkeypatch, "_window")
+        grid = [F(0), F(1, 5), F(1, 2), F(4, 5)]  # 6 of the 16 pairs are degenerate
+        rows = list(formats.frontier_rows(ARB, grid, grid, [F(0), F(1, 10), F(1, 5)]))
+        assert len(rows) == 48
+        assert (len(checks), len(windows)) == (10, 10)
+

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from realityvote import Mechanism, is_safe, verifier
+from realityvote import Mechanism, VoterClass, is_safe, verifier
 from realityvote.errors import DegenerateParams, SampleTooLarge
 from realityvote.montecarlo import (
     Experiment,
@@ -96,6 +96,24 @@ class TestSafetyWhp:
     def test_rate_is_exact_fraction(self):
         stats = run_safety_whp(whp_experiment(trials=7))
         assert stats.empirical_rate == F(stats.violation_count, 7)
+
+    def test_each_distinct_draw_is_evaluated_once(self, monkeypatch):
+        # A binary trial's outcome depends only on how many supporters the
+        # draw hits, so 200 trials evaluate at most 7 tallies (0-6 of the
+        # six honest supporters), each once.
+        exp = whp_experiment(tau=F(0), trials=200)
+        want = run_safety_whp(exp)
+        draws = []
+        real = verifier._binary_outcome
+
+        def spy(mechanism, domain, counts):
+            draws.append(counts[VoterClass.HONEST_ACTIVE].get("p", 0))
+            return real(mechanism, domain, counts)
+
+        monkeypatch.setattr(verifier, "_binary_outcome", spy)
+        assert run_safety_whp(exp) == want
+        assert 1 < len(draws) <= 7
+        assert len(set(draws)) == len(draws)
 
     def test_tightness_template_violates_often(self):
         # Below the random-participation threshold the adversarial template

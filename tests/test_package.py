@@ -142,3 +142,39 @@ def test_cli_reads_text_rationals_only_through_the_parser():
         if isinstance(node, ast.Call) and "Fraction" in _loaded_names(node.func)
     ]
     assert calls and [ast.unparse(call) for call in calls if not allowed(call)] == []
+
+
+def _function(module, name):
+    return next(
+        node for node in ast.walk(SOURCES[module])
+        if isinstance(node, ast.FunctionDef) and node.name == name
+    )
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [("rules", name) for name in (
+        "build_tally", "majority", "supermajority", "plurality", "condorcet_conservative",
+        "issuewise_majority", "_scaled_threshold",
+    )] + [("verifier", "_least_cost")],
+)
+def test_threshold_tallies_build_no_fraction(module, name):
+    # The virtual mass is an int over re_tau's denominator and the threshold
+    # rules compare cross-multiplied ints, so the functions that build or
+    # read a tally for them make no Fraction: they never name the class,
+    # never coerce a q, and never multiply re_tau itself (only its
+    # numerator and denominator).  The median rules are exempt.
+    def is_re_tau(node):
+        return "re_tau" in (getattr(node, "id", None), getattr(node, "attr", None))
+
+    function = _function(module, name)
+    offending = [
+        ast.unparse(node)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Name) and node.id == "Fraction"
+        or isinstance(node, ast.Call) and "as_fraction" in _loaded_names(node.func)
+        and "q" in _loaded_names(ast.Tuple(elts=node.args, ctx=ast.Load()))
+        or isinstance(node, ast.BinOp) and (is_re_tau(node.left) or is_re_tau(node.right))
+    ]
+    assert offending == []
+

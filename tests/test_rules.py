@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -350,6 +351,80 @@ def draw_q(data, edge):
     return data.draw(FREE_Q)
 
 
+def ref_condorcet(tau, counts, q, domain):
+    def beats(a, b):
+        support = sum((F(c) for ranking, c in counts.items()
+                       if ranking.index(a) < ranking.index(b)), F(0))
+        total = sum((F(c) for c in counts.values()), F(0))
+        if domain.r in (a, b):
+            total += q
+        return support > (F(1, 2) + tau) * total
+
+    alternatives = domain.alternative_list()
+    for a in alternatives:
+        if a != domain.r and all(beats(a, b) for b in alternatives if b != a):
+            return a
+    return domain.r
+
+
+def q_forms(counts, q):
+    """The tally with q as a Fraction over unit 1, then as the int
+    k * q.numerator over the unit k * q.denominator, for k = 1, 2, 3."""
+    return [Tally(counts, q)] + [Tally(counts, k * q.numerator, k * q.denominator)
+                                 for k in (1, 2, 3)]
+
+
+# Each case draws counts and q (its rule's knife edge included) and returns
+# (counts, q, the rule on a tally, the Fraction reference's answer).
+def majority_case(data):
+    counts = draw_counts(data, BIN)
+    q = draw_q(data, F(counts.get("p", 0) - counts.get("r", 0)))
+    return counts, q, lambda t: majority(t, BIN), ref_majority(counts, q, BIN)
+
+
+def supermajority_case(data):
+    domain = data.draw(st.sampled_from([BIN, CAT, CAT2]))
+    tau = data.draw(st.sampled_from([F(0), F(1, 3), F(2, 5), F(1, 2)]))
+    counts = draw_counts(data, domain)
+    a = data.draw(st.sampled_from([x for x in domain.alternative_list() if x != domain.r]))
+    q = draw_q(data, fraction_mass(counts, a) / (F(1, 2) + tau) - sum(counts.values()))
+    rule = lambda t: supermajority(tau, t, domain)
+    return counts, q, rule, ref_supermajority(tau, counts, q, domain)
+
+
+def plurality_case(data):
+    domain = data.draw(st.sampled_from([CAT, CAT2]))
+    counts = draw_counts(data, domain)
+    top = max(counts.get(a, 0) for a in domain.alternative_list() if a != domain.r)
+    q = draw_q(data, F(top - counts.get(domain.r, 0)))
+    return counts, q, lambda t: plurality(t, domain), ref_plurality(counts, q, domain)
+
+
+def issuewise_case(data):
+    domain = data.draw(st.sampled_from(CUBES))
+    counts = draw_counts(data, domain)
+    j = data.draw(st.integers(0, domain.dimension - 1))
+    lead = 2 * sum(c for b, c in counts.items() if b[j] == 1) - sum(counts.values())
+    q = draw_q(data, F(lead if domain.status_quo_point[j] == 0 else -lead))
+    return counts, q, lambda t: issuewise_majority(t, domain), ref_issuewise(counts, q, domain)
+
+
+def condorcet_case(data):
+    """base_tau in {0, 1/3, 2/5} and a nonzero q, free or on the edge of a
+    challenger's contest with r."""
+    tau = data.draw(st.sampled_from([F(0), F(1, 3), F(2, 5)]))
+    counts = {}
+    for ranking in itertools.permutations(CAT.alternative_list()):
+        counts[ranking] = data.draw(st.integers(0, 3))
+    counts = {b: c for b, c in counts.items() if c}
+    a = data.draw(st.sampled_from(["p", "p2"]))
+    support = sum(c for b, c in counts.items() if b.index(a) < b.index("r"))
+    edge = support / (F(1, 2) + tau) - sum(counts.values())
+    q = edge if edge > 0 and data.draw(st.booleans()) else data.draw(FREE_Q.filter(bool))
+    rule = lambda t: condorcet_conservative(tau, t, CAT)
+    return counts, q, rule, ref_condorcet(tau, counts, q, CAT)
+
+
 class TestMassIndex:
     def test_int_masses_index_like_their_fractions(self):
         entries = [(F(1, 2), 3), (F(-1, 3), 2), (F(1, 2), 0), (F(2), F(5, 4)), (F(0), 1)]
@@ -415,6 +490,57 @@ class TestIntegerMassesMatchFractionReference:
         assert supermajority(F(1, 3), Tally({"p": 3}, F(2, 3)), BIN) == "r"
         assert supermajority(F(1, 3), Tally({"p": 3}, F(3, 5)), BIN) == "r"
         assert supermajority(F(1, 3), Tally({"p": 3}, F(1, 2)), BIN) == "p"
+
+    @pytest.mark.parametrize(
+        "case",
+        [majority_case, supermajority_case, plurality_case, issuewise_case, condorcet_case],
+        ids=lambda case: case.__name__,
+    )
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_every_form_of_q_matches_the_reference(self, case, data):
+        counts, q, rule, want = case(data)
+        assert [rule(tally) for tally in q_forms(counts, q)] == [want] * 4
+
+    def test_knife_edges_on_an_int_unit(self):
+        # The edges above with q as an int over re_tau's denominator (or a multiple).
+        assert majority(Tally({"p": 3, "r": 1}, 6, 3), BIN) == "r"
+        assert majority(Tally({"p": 2, "r": 1}, 3, 3), BIN) == "r"
+        assert majority(Tally({"p": 2, "r": 1}, 4, 6), BIN) == "p"
+        assert plurality(Tally({"p": 3, "r": 2}, 2, 2), CAT) == "r"
+        assert issuewise_majority(Tally({(1,): 3, (0,): 1}, 6, 3), CUBES[0]) == (0,)
+        assert supermajority(F(1, 3), Tally({"p": 3}, 2, 3), BIN) == "r"
+        assert supermajority(F(1, 3), Tally({"p": 3}, 6, 10), BIN) == "r"
+        assert supermajority(F(1, 3), Tally({"p": 3}, 2, 4), BIN) == "p"
+        # p's contests: 2 of 3 against p2 (no q); against r, 2 > (1/2 + 1/10) * (3 + q)
+        # holds exactly while q < 1/3.
+        ballots = {("p", "r", "p2"): 2, ("r", "p2", "p"): 1}
+        assert condorcet_conservative(F(1, 10), Tally(ballots, 1, 3), CAT) == "r"
+        assert condorcet_conservative(F(1, 10), Tally(ballots, 2, 9), CAT) == "p"
+
+
+class TestTallyUnit:
+    def test_equal_masses_are_equal_tallies(self):
+        counts = {"p": 2, "r": 1}
+        assert Tally(counts, 3, 3) == Tally(counts, 1) == Tally(counts, F(1)) == Tally(counts, 2, 2)
+        assert Tally(counts, 2, 3) == Tally(counts, F(2, 3)) == Tally(counts, 4, 6)
+        assert Tally(counts, 0, 5) == Tally(counts) == Tally(counts, F(0))
+        assert Tally(counts, 2, 3) != Tally(counts, 2)
+        assert Tally(counts, 2, 3) != Tally(counts, 3, 2)
+        assert Tally(counts, 1) != Tally({"p": 2}, 1)
+        assert Tally(counts) != (counts, 0)
+
+    def test_virtual_mass_is_exact(self):
+        for tally in (Tally({}, 4, 6), Tally({}, F(2, 3))):
+            assert tally.virtual_mass == F(2, 3)
+            assert type(tally.virtual_mass) is Fraction
+
+    def test_build_tally_holds_q_over_re_taus_denominator(self):
+        prof = binary_profile(active="ppr", passive="r", sybil="p")
+        for mode, visible in (("active", 4), ("full", 5)):
+            tally = build_tally(Mechanism("mj", re_tau=F(2, 5), participation=mode), prof.counts)
+            assert (tally.q, tally.unit) == (2 * visible, 5)
+            assert type(tally.q) is int
 
 
 # ---------------------------------------------------------------------------
