@@ -99,31 +99,25 @@ def _tally_order(domain, counts):
 def cmd_eval(args) -> int:
     profile = _load_profile(args.profile)
     mechanism = parse_mechanism(args.mechanism)
-    if mechanism.participation == "proxy":
-        outcome = rules.apply(mechanism, profile)
-    else:  # rules.apply, keeping the tally to print
-        rules._rule(mechanism, profile.domain)  # a mismatch is reported first
-        tally = rules.build_tally(mechanism, profile.counts)
-        outcome = rules.evaluate_tally(mechanism, tally, profile.domain)
-    print(f"mechanism: {mechanism.describe()}")
-    print(f"outcome: {_format_outcome(outcome)}")
-    if mechanism.participation != "proxy":
-        print(f"visible: {tally.cast_total}")
-        print(f"q: {format_rational(tally.virtual_mass)}")
-        print("tally:")
-        for ballot, count in _tally_order(profile.domain, tally.counts):
-            print(f"  {_format_outcome(ballot)}: {count}")
-    else:
+    rules._check(mechanism, profile.domain)  # a mismatch is reported first
+    if mechanism.participation == "proxy":  # one index gives outcome and weights
         from . import proxy
 
-        entities = proxy.delegate(profile, mechanism.re_tau).entities
-        scale = rules.position_scale(e.position for e in entities)
-        print("entities:")
-        for entity in sorted(
-            entities, key=lambda e: (rules.scaled(e.position, scale), not e.is_status_quo)
-        ):
-            tag = " (status quo)" if entity.is_status_quo else ""
-            print(f"  {format_rational(entity.position)}: {format_rational(entity.weight)}{tag}")
+        index = proxy._ProxyIndex(profile, mechanism.re_tau)
+        outcome, lines = index.median(), ["entities:"]
+        for _, e in sorted(index.entities(), key=lambda xe: (xe[0], not xe[1].is_status_quo)):
+            tag = " (status quo)" if e.is_status_quo else ""
+            lines.append(f"  {format_rational(e.position)}: {format_rational(e.weight)}{tag}")
+    else:  # rules.apply, keeping the tally to print
+        tally = rules.build_tally(mechanism, profile.counts)
+        outcome = rules.evaluate_tally(mechanism, tally, profile.domain)
+        lines = [f"visible: {tally.cast_total}", f"q: {format_rational(tally.virtual_mass)}"]
+        lines.append("tally:")
+        for ballot, count in _tally_order(profile.domain, tally.counts):
+            lines.append(f"  {_format_outcome(ballot)}: {count}")
+    print(f"mechanism: {mechanism.describe()}")
+    print(f"outcome: {_format_outcome(outcome)}")
+    print("\n".join(lines))
     return EXIT_OK
 
 

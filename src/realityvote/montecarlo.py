@@ -18,7 +18,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from . import proxy, verifier
+from . import proxy, rules, verifier
 from .errors import DegenerateParams, MechanismMismatch, SampleTooLarge
 from .guarantees import Setting, safety_threshold
 from .population import HONEST_CLASSES, Profile, Rational, VoterClass, as_fraction, ballot_counts
@@ -117,9 +117,9 @@ def run_safety_whp(exp: Experiment) -> TrialStats:
     compared against the Hoeffding-style tail bound."""
     if exp.profile.domain.kind != "binary":
         raise MechanismMismatch("the w.h.p. safety experiment is binary")
-    domain = exp.profile.domain
-    honest_p = ballot_counts(exp.profile.counts, HONEST_CLASSES).get(domain.proposal, 0)
-    sybil_p = exp.profile.counts[VoterClass.SYBIL].get(domain.proposal, 0)
+    domain, counts = exp.profile.domain, exp.profile.counts
+    honest_p = sum(counts[c].get(domain.proposal, 0) for c in HONEST_CLASSES)
+    sybil_p = counts[VoterClass.SYBIL].get(domain.proposal, 0)
     h, s = exp.profile.n_honest, exp.profile.n_sybil
     n = exp.profile.n
     sigma = exp.profile.sigma
@@ -136,13 +136,13 @@ def run_safety_whp(exp: Experiment) -> TrialStats:
     region = verifier.outcome_range(
         exp.base, verifier.honest_only(exp.profile), exp.alpha_prime
     ).safe_region(domain)
+    sees_passive = VoterClass.HONEST_PASSIVE in rules.visible_classes(exp.mechanism)
+    electorate = n if sees_passive else exp.n_plus + s
     violations = 0
     draws = Counter(_supporter_draws(honest_p, h, exp.n_plus, exp.trials, exp.seed))
     for active_p, hits in draws.items():  # a trial's outcome depends only on its draw
-        trial = verifier._binary_counts(
-            domain, active_p, exp.n_plus, honest_p - active_p, h - exp.n_plus, sybil_p, s
-        )
-        if not region.contains(verifier._binary_outcome(exp.mechanism, domain, trial)):
+        seen = (honest_p if sees_passive else active_p) + sybil_p
+        if not region.contains(verifier._binary_outcome(exp.mechanism, domain, seen, electorate)):
             violations += hits
     return _trial_stats(violations, exp.trials, bound)
 

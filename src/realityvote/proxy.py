@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -171,29 +171,30 @@ class _ProxyIndex:
         if profile.domain.kind != "interval":
             raise NoProxyAvailable("delegation is defined on the interval domain")
         r = profile.domain.status_quo_position
-        honest: List[Fraction] = []
-        sybils: List[Fraction] = []
+        self.voters = voters = profile.voters
+        if any(ballot is None for _, ballot in voters):
+            raise MissingPrivateBallots("delegation needs every passive voter's position")
+        self.scale = scale = rules.position_scale([*(ballot for _, ballot in voters), r])
+        memo: Dict[int, int] = {}  # by identity: a file's voters share position objects
+        self.xs: List[int] = []  # every voter's scaled position, in profile order
+        honest: List[int] = []
+        sybils: List[int] = []
         self.active: List[int] = []
         sybil, active = VoterClass.SYBIL, VoterClass.HONEST_ACTIVE
-        for cls, ballot in profile.voters:
+        for cls, ballot in voters:
+            x = memo.get(id(ballot))
+            if x is None:
+                x = memo[id(ballot)] = rules.scaled(ballot, scale)
+            self.xs.append(x)
             if cls is sybil:
-                sybils.append(ballot)
+                sybils.append(x)
                 continue
-            if ballot is None:
-                raise MissingPrivateBallots(
-                    "delegation needs every passive voter's position"
-                )
             if cls is active:
                 self.active.append(len(honest))
-            honest.append(ballot)
+            honest.append(x)
         self.r = r
         self.re_tau = as_fraction(re_tau)
-        self.scale = scale = rules.position_scale([*honest, *sybils, r])
-        self.up = _Line(
-            [rules.scaled(p, scale) for p in honest],
-            [rules.scaled(p, scale) for p in sybils],
-            rules.scaled(r, scale),
-        )
+        self.up = _Line(honest, sybils, rules.scaled(r, scale))
         self.n = profile.n
         status_quo_mass = self.re_tau * self.n + (1 if r_unit_weight else 0)
         self.unit = status_quo_mass.denominator
@@ -201,6 +202,31 @@ class _ProxyIndex:
 
     def fraction(self, x: int) -> Fraction:
         return Fraction(x, self.scale)
+
+    def median(self) -> Fraction:
+        """The proxy median with the profile's own active voters (md_proxy)."""
+        drawn = [self.up.honest[i] for i in self.active]
+        return self.fraction(self.outcome(self.up, drawn))
+
+    def entities(self, include_status_quo: bool = True) -> List[Tuple[int, ProxyEntity]]:
+        """The delegation's entities (see delegate), each with its scaled
+        position: the voters in profile order, then the status quo."""
+        line = self.up
+        drawn = [line.honest[i] for i in self.active]
+        if not include_status_quo and not drawn and not line.sybils:
+            raise NoProxyAvailable("no active voters and the status quo is excluded")
+        pool, cuts = self.delegation(line, drawn, include_status_quo)
+        on_proxy = Counter(drawn)
+        followers = {x: cut - below - on_proxy[x] for x, cut, below in zip(pool, cuts, [0, *cuts])}
+        passive = VoterClass.HONEST_PASSIVE
+        entities = [  # the first active voter on a position takes its followers
+            (x, ProxyEntity(ballot, Fraction(1 + followers.pop(x, 0))))
+            for (cls, ballot), x in zip(self.voters, self.xs) if cls is not passive
+        ]
+        if include_status_quo:
+            weight = Fraction(self.status_quo_mass, self.unit) + followers.pop(line.r, 0)
+            entities.append((line.r, ProxyEntity(self.r, weight, is_status_quo=True)))
+        return entities
 
     def delegation(
         self, line: _Line, drawn: Sequence[int], include_status_quo: bool = True
@@ -350,30 +376,8 @@ def delegate(
     a base weight of 1 like any other entity.  Followers of a position go to
     its first active voter in profile order.
     """
-    index = _ProxyIndex(profile, re_tau, r_unit_weight)
-    line = index.up
-    drawn = [line.honest[i] for i in index.active]
-    if not include_status_quo and not drawn and not line.sybils:
-        raise NoProxyAvailable("no active voters and the status quo is excluded")
-    pool, cuts = index.delegation(line, drawn, include_status_quo)
-    on_proxy = Counter(drawn)
-    followers = {}
-    previous = 0
-    for x, cut in zip(pool, cuts):
-        followers[x] = cut - previous - on_proxy[x]
-        previous = cut
-
-    entities: List[ProxyEntity] = []
-    passive, scale = VoterClass.HONEST_PASSIVE, index.scale
-    for cls, ballot in profile.voters:
-        if cls is not passive:
-            extra = followers.pop(rules.scaled(ballot, scale), 0)
-            entities.append(ProxyEntity(position=ballot, weight=Fraction(1 + extra)))
-    if include_status_quo:
-        base = Fraction(1) if r_unit_weight else Fraction(0)
-        weight = base + index.re_tau * profile.n + followers.pop(line.r, 0)
-        entities.append(ProxyEntity(position=index.r, weight=weight, is_status_quo=True))
-    return DelegationWeights(entities=tuple(entities))
+    entities = _ProxyIndex(profile, re_tau, r_unit_weight).entities(include_status_quo)
+    return DelegationWeights(entities=tuple(entity for _, entity in entities))
 
 
 def weighted_median(entries: Sequence[Tuple[Rational, Rational]]) -> Fraction:
@@ -388,9 +392,7 @@ def weighted_median(entries: Sequence[Tuple[Rational, Rational]]) -> Fraction:
 def md_proxy(profile: Profile, re_tau: Rational, r_unit_weight: bool = False) -> Fraction:
     """Proxy-weighted median: active entities weighted by followers, the
     status quo carrying its followers plus the virtual mass."""
-    index = _ProxyIndex(profile, re_tau, r_unit_weight)
-    drawn = [index.up.honest[i] for i in index.active]
-    return index.fraction(index.outcome(index.up, drawn))
+    return _ProxyIndex(profile, re_tau, r_unit_weight).median()
 
 
 def nearest_entity_to(

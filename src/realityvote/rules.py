@@ -345,6 +345,11 @@ def build_tally(mechanism: Mechanism, counts: CountTable) -> Tally:
     electorate = sum(cast.values())
     if mechanism.participation == "proxy":
         electorate = sum(sum(by_ballot.values()) for by_ballot in counts.values())
+    return _cast_tally(mechanism, cast, electorate)
+
+
+def _cast_tally(mechanism: Mechanism, cast: Dict[Ballot, int], electorate: int) -> Tally:
+    """Visible ballot counts plus q, re_tau times the electorate tallied."""
     re_tau = mechanism.re_tau
     return Tally(cast, re_tau.numerator * electorate, re_tau.denominator)
 
@@ -375,6 +380,13 @@ def _rule(mechanism: Mechanism, domain: DomainSpec) -> Callable[..., Ballot]:
     return rule
 
 
+def _check(mechanism: Mechanism, domain: DomainSpec) -> None:
+    """MechanismMismatch unless apply can run the mechanism on the domain."""
+    _rule(mechanism, domain)
+    if mechanism.participation == "proxy" and mechanism.base != "md":
+        raise MechanismMismatch("proxy participation is median-on-interval only")
+
+
 def evaluate_tally(mechanism: Mechanism, tally: Tally, domain: DomainSpec) -> Ballot:
     """Dispatch a prepared tally to the base rule (no participation logic)."""
     return _rule(mechanism, domain)(mechanism, tally, domain)
@@ -389,10 +401,8 @@ def apply(mechanism: Mechanism, profile: Profile) -> Ballot:
     the rule set.
     """
     domain = profile.domain
-    _rule(mechanism, domain)  # a mismatch is reported before any tally is built
+    _check(mechanism, domain)  # a mismatch is reported before any tally is built
     if mechanism.participation == "proxy":
-        if mechanism.base != "md":
-            raise MechanismMismatch("proxy participation is median-on-interval only")
         from . import proxy  # local import; proxy builds on this module
 
         return proxy.md_proxy(profile, mechanism.re_tau)

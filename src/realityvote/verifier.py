@@ -193,6 +193,8 @@ def _least_cost(
     per_voter, unit = mechanism.re_tau.numerator, mechanism.re_tau.denominator
     work = 0
     for y in range(cap + 1):
+        spreads = [[(ballot, added) for ballot, added in zip(support, spread) if added]
+                   for spread in _bounded_compositions(y, (y,) * bins)]
         for x in range(min(y, h) + 1):
             for removal in _bounded_compositions(x, bounds):
                 base = dict(sybil_counts)
@@ -200,7 +202,7 @@ def _least_cost(
                     if kept - taken:
                         base[t] = base.get(t, 0) + kept - taken
                 q = per_voter * (sum(base.values()) + y)
-                for spread in _bounded_compositions(y, (y,) * bins):
+                for spread in spreads:
                     work += 1
                     if work > _WORK_LIMIT:
                         raise BudgetExceeded(
@@ -208,9 +210,8 @@ def _least_cost(
                             f"ballot types, {bins} support ballots, budget {cap})"
                         )
                     counts = dict(base)
-                    for ballot, added in zip(support, spread):
-                        if added:
-                            counts[ballot] = counts.get(ballot, 0) + added
+                    for ballot, added in spread:
+                        counts[ballot] = counts.get(ballot, 0) + added
                     if rules.evaluate_tally(mechanism, Tally(counts, q, unit), domain) == target:
                         return y
     return None
@@ -361,29 +362,28 @@ def is_safe(
     return base_range.safe_region(profile.domain).contains(outcome)
 
 
-def min_alpha_for_profile(
-    mechanism: Mechanism, base: Mechanism, profile: Profile
-) -> Fraction:
+def min_alpha_for_profile(mechanism: Mechanism, base: Mechanism, profile: Profile) -> Fraction:
     """Smallest alpha (a multiple of one over the honest count) at which this
     profile passes the safety check (see _least_safe_alpha)."""
     z = rules.apply(mechanism, profile)
-    return _least_safe_alpha(base, profile.domain, z, honest_only(profile).counts)
+    honest_counts, _ = _split(base, honest_only(profile).counts)
+    h = profile.n_honest
+    return Fraction(_least_safe_alpha(base, profile.domain, z, honest_counts, h), h)
 
 
 def _least_safe_alpha(
-    base: Mechanism, domain: DomainSpec, z: Ballot, honest: CountTable
-) -> Fraction:
-    """Least alpha at which outcome z is safe against the base rule on the
-    honest voters' count table: free when z is between r and the base
-    outcome m0, else the least _least_cost over targets t with z between r
-    and t (on the line z alone: every reachable set is an interval holding
-    m0).  A cost of c of the v voters the base rule sees is granted at
-    ceil(c*h/v)/h for h honest voters."""
-    honest_counts, _ = _split(base, honest)
+    base: Mechanism, domain: DomainSpec, z: Ballot, honest_counts: Dict[Ballot, int], h: int
+) -> int:
+    """Least alpha, as a numerator over the h honest voters, at which outcome
+    z is safe against the base rule on the honest ballot counts it sees: 0
+    when z is between r and the base outcome m0, else the least _least_cost
+    over targets t with z between r and t (on the line z alone: every
+    reachable set is an interval holding m0).  A cost of c of the v voters
+    the base rule sees is granted at ceil(c*h/v)/h."""
     visible, r = sum(honest_counts.values()), domain.r
-    m0 = rules.evaluate_tally(base, rules.build_tally(base, honest), domain)
+    m0 = rules.evaluate_tally(base, rules._cast_tally(base, honest_counts, visible), domain)
     if between(domain, r, m0).contains(z):
-        return Fraction(0)
+        return 0
     cost = visible + 1
     for t in [z] if domain.kind == "interval" else domain.alternative_list():
         if between(domain, r, t).contains(z):
@@ -391,20 +391,23 @@ def _least_safe_alpha(
             cost = cost if found is None else found
     if cost > visible:
         raise BudgetExceeded("profile not safe even after replacing every honest voter")
-    h = sum(sum(honest[cls].values()) for cls in HONEST_CLASSES)
-    return Fraction(-(-cost * h // visible), h)
+    return -(-cost * h // visible)
 
 
 def _shape_counts(shape: Tuple[int, Rational, Rational]) -> Tuple[int, int, int]:
     n, sigma, mu = shape
-    sigma, mu = as_fraction(sigma), as_fraction(mu)
-    s, hm = sigma * n, mu * n
-    if s.denominator != 1 or hm.denominator != 1:
+    (s, s_rest), (hm, hm_rest) = (
+        divmod(x.numerator * n, x.denominator) for x in map(as_fraction, (sigma, mu)))
+    if s_rest or hm_rest:
         raise UnrealizableShape(f"shape {shape} has no integer realization")
-    s, hm = int(s), int(hm)
     if s < 0 or hm < 0 or s + hm >= n:
         raise UnrealizableShape("shape needs at least one active honest voter")
     return n, s, hm
+
+
+def _binary_ballots(domain: DomainSpec, on_p: int, size: int) -> Dict[Ballot, int]:
+    """{p: on_p, r: size - on_p} without zero counts."""
+    return {b: k for b, k in ((domain.proposal, on_p), (domain.status_quo, size - on_p)) if k}
 
 
 def _binary_counts(
@@ -413,9 +416,8 @@ def _binary_counts(
 ) -> CountTable:
     """The count table of k of h_plus honest actives, j of h_minus passives'
     private votes and s_p of s sybils on the proposal, the rest on r."""
-    r, p = domain.status_quo, domain.proposal
     classes = zip(VoterClass, (k_active_p, j_passive_p, s_p), (h_plus, h_minus, s))
-    return {c: {b: k for b, k in ((p, on_p), (r, size - on_p)) if k} for c, on_p, size in classes}
+    return {c: _binary_ballots(domain, on_p, size) for c, on_p, size in classes}
 
 
 def _binary_profile(domain: DomainSpec, *counts: int) -> Profile:
@@ -427,11 +429,12 @@ def _binary_profile(domain: DomainSpec, *counts: int) -> Profile:
     return build_profile(domain, voters)
 
 
-def _binary_outcome(mechanism: Mechanism, domain: DomainSpec, counts: CountTable) -> Ballot:
-    """rules.apply on a binary count table."""
+def _binary_outcome(mechanism: Mechanism, domain: DomainSpec, on_p: int, voters: int) -> Ballot:
+    """rules.apply on that many visible binary voters, on_p of them on p."""
     if mechanism.participation == "proxy":  # it reads voter order
         raise MechanismMismatch("proxy participation is median-on-interval only")
-    return rules.evaluate_tally(mechanism, rules.build_tally(mechanism, counts), domain)
+    tally = rules._cast_tally(mechanism, _binary_ballots(domain, on_p, voters), voters)
+    return rules.evaluate_tally(mechanism, tally, domain)
 
 
 def min_alpha(
@@ -447,27 +450,29 @@ def min_alpha(
     once per count.  The status quo is safe at alpha 0, so the base side is
     asked only for z = p, once per proposal count the base sees among the
     honest voters (k + j, or k for an active-only base): within a shape that
-    count fixes the answer."""
+    count fixes the answer, an int numerator over the h honest voters."""
     domain = DomainSpec.binary()
     n, s, hm = _shape_counts(shape)
-    h_plus = n - s - hm
+    h_plus, h = n - s - hm, n - s
     # Check the base up front: a walk whose outcomes are all r never asks it.
-    _split(base, _binary_counts(domain, 0, h_plus, 0, hm, 0, 0))
+    _split(base, dict.fromkeys(VoterClass, {}))
     rules._rule(base, domain)
-    full_view, full_base = mechanism.participation == "full", base.participation == "full"
+    mech_sees_passive, base_sees_passive = (
+        VoterClass.HONEST_PASSIVE in rules.visible_classes(m) for m in (mechanism, base))
+    electorate = n if mech_sees_passive else h_plus + s
+    base_visible = h if base_sees_passive else h_plus
     outcomes: Dict[int, Ballot] = {}  # visible proposal count -> z
-    answers: Dict[int, Fraction] = {}  # base-visible proposal count -> alpha for z = p
+    answers: Dict[int, int] = {}  # base-visible proposal count -> alpha * h for z = p
     for k, j, s_p in itertools.product(range(h_plus + 1), range(hm + 1), range(s + 1)):
-        seen = k + j + s_p if full_view else k + s_p
+        seen = k + j + s_p if mech_sees_passive else k + s_p
         z = outcomes.get(seen)
         if z is None:
-            counts = _binary_counts(domain, k, h_plus, j, hm, s_p, s)
-            z = outcomes[seen] = _binary_outcome(mechanism, domain, counts)
-        key = k + j if full_base else k
+            z = outcomes[seen] = _binary_outcome(mechanism, domain, seen, electorate)
+        key = k + j if base_sees_passive else k
         if z != domain.status_quo and key not in answers:
-            honest = _binary_counts(domain, k, h_plus, j, hm, 0, 0)
-            answers[key] = _least_safe_alpha(base, domain, z, honest)
-    return max(answers.values(), default=Fraction(0))
+            honest = _binary_ballots(domain, key, base_visible)
+            answers[key] = _least_safe_alpha(base, domain, z, honest, h)
+    return Fraction(max(answers.values(), default=0), h)
 
 
 def visible_honest(mechanism: Mechanism, shape: Tuple[int, Rational, Rational]) -> int:

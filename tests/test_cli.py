@@ -487,6 +487,28 @@ class TestEval:
         on_r = [value for label, value in lines if label == "1/3"]
         assert len(on_r) == 2 and on_r[0].endswith("(status quo)")
 
+    def test_proxy_eval_builds_one_index_and_scales_each_position_once(
+        self, order_file, monkeypatch, capsys
+    ):
+        # The outcome and the entity weights come from one index, and the
+        # voters read from the file share their position objects, so each
+        # distinct position (and the domain's r) is scaled once.
+        from realityvote import proxy, rules
+
+        scaled, indices = [], []
+        real_scaled, real_init = rules.scaled, proxy._ProxyIndex.__init__
+
+        def init(index, *args):
+            indices.append(args)
+            real_init(index, *args)
+
+        monkeypatch.setattr(rules, "scaled", lambda p, s: scaled.append(p) or real_scaled(p, s))
+        monkeypatch.setattr(proxy._ProxyIndex, "__init__", init)
+        assert main(["eval", "--profile", order_file, "--mechanism", "md re:1/5 mode:proxy"]) == 0
+        assert len(indices) == 1
+        positions = {b for _, b in ORDER_POP.voters}
+        assert sorted(scaled) == sorted([*positions, ORDER_POP.domain.status_quo_position])
+
 
 class TestFrontier:
     def test_single_point(self, capsys):

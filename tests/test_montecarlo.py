@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from realityvote import Mechanism, VoterClass, is_safe, verifier
+from realityvote import Mechanism, is_safe, verifier
 from realityvote.errors import DegenerateParams, SampleTooLarge
 from realityvote.montecarlo import (
     Experiment,
@@ -106,9 +106,9 @@ class TestSafetyWhp:
         draws = []
         real = verifier._binary_outcome
 
-        def spy(mechanism, domain, counts):
-            draws.append(counts[VoterClass.HONEST_ACTIVE].get("p", 0))
-            return real(mechanism, domain, counts)
+        def spy(mechanism, domain, proposal_count, electorate):
+            draws.append(proposal_count)  # the draw plus the five sybils on p
+            return real(mechanism, domain, proposal_count, electorate)
 
         monkeypatch.setattr(verifier, "_binary_outcome", spy)
         assert run_safety_whp(exp) == want

@@ -155,7 +155,7 @@ def _function(module, name):
     "module, name",
     [("rules", name) for name in (
         "build_tally", "majority", "supermajority", "plurality", "condorcet_conservative",
-        "issuewise_majority", "_scaled_threshold",
+        "issuewise_majority", "_scaled_threshold", "_cast_tally",
     )] + [("verifier", "_least_cost")],
 )
 def test_threshold_tallies_build_no_fraction(module, name):
@@ -178,3 +178,24 @@ def test_threshold_tallies_build_no_fraction(module, name):
     ]
     assert offending == []
 
+
+@pytest.mark.parametrize(
+    "module, name",
+    [("verifier", name) for name in ("min_alpha", "_least_safe_alpha", "_binary_outcome")]
+    + [("montecarlo", "run_safety_whp")],
+)
+def test_binary_oracle_builds_no_count_table(module, name):
+    # An anonymous binary rule's outcome is a function of the visible
+    # proposal count and electorate, so the binary oracle runs on ints from
+    # the shape to the answer: it builds no count table and merges none,
+    # and the base side returns an int numerator over the honest count.
+    function = _function(module, name)
+    called = {
+        called_name
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call)
+        for called_name in _loaded_names(node.func)
+    }
+    assert sorted(called & {"_binary_counts", "build_tally", "ballot_counts"}) == []
+    if name == "_least_safe_alpha":
+        assert "Fraction" not in set(_loaded_names(function))

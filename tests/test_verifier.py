@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -173,16 +174,17 @@ _WALK_BASES = [MJ, MJ_ACTIVE, Mechanism("smj", base_tau=F(1, 4))]
 
 
 def walk_every_population(mechanism, base, n, s, hm):
-    """min_alpha as a plain walk: every (k, j, s_p) population's outcome and
-    base-side answer, with no memo and no skip."""
+    """min_alpha as a plain walk: every (k, j, s_p) population's outcome,
+    from its count table through rules.build_tally, and base-side answer,
+    with no memo and no skip."""
     domain = DomainSpec.binary()
-    hp = n - s - hm
+    hp, h = n - s - hm, n - s
     worst = F(0)
     for k, j, s_p in itertools.product(range(hp + 1), range(hm + 1), range(s + 1)):
         counts = _binary_counts(domain, k, hp, j, hm, s_p, s)
-        z = _binary_outcome(mechanism, domain, counts)
-        honest = {**counts, SYBIL: {}}
-        worst = max(worst, _least_safe_alpha(base, domain, z, honest))
+        z = rules.evaluate_tally(mechanism, rules.build_tally(mechanism, counts), domain)
+        honest, _ = verifier._split(base, {**counts, SYBIL: {}})
+        worst = max(worst, F(_least_safe_alpha(base, domain, z, honest, h), h))
     return worst
 
 
@@ -291,9 +293,9 @@ class TestMinAlpha:
 
         asked = []
 
-        def spy(base_, domain, z, honest):
-            asked.append((z, seen(honest[ACTIVE].get("p", 0), honest[PASSIVE].get("p", 0))))
-            return _least_safe_alpha(base_, domain, z, honest)
+        def spy(base_, domain, z, honest, h):  # honest: the base-visible ballot counts
+            asked.append((z, honest.get("p", 0)))
+            return _least_safe_alpha(base_, domain, z, honest, h)
 
         monkeypatch.setattr(verifier, "_least_safe_alpha", spy)
         mech = Mechanism("mj", re_tau=F(1, 4), participation="active")
@@ -311,7 +313,8 @@ class TestMinAlpha:
         skipped = [prof for (z, _), prof in questions.items() if z == "r"]
         assert skipped
         for prof in skipped:
-            assert _least_safe_alpha(base, prof.domain, "r", prof.counts) == 0
+            honest, _ = verifier._split(base, prof.counts)
+            assert _least_safe_alpha(base, prof.domain, "r", honest, prof.n_honest) == 0
 
     @pytest.mark.parametrize(
         "mech, base",
@@ -329,9 +332,9 @@ class TestMinAlpha:
         # at most n + 1 times per shape (one per visible count).
         calls = []
 
-        def spy(mechanism, domain, counts):
-            calls.append(counts)
-            return _binary_outcome(mechanism, domain, counts)
+        def spy(mechanism, domain, proposal_count, electorate):
+            calls.append((proposal_count, electorate))
+            return _binary_outcome(mechanism, domain, proposal_count, electorate)
 
         monkeypatch.setattr(verifier, "_binary_outcome", spy)
         for n in range(1, 9):
@@ -353,6 +356,33 @@ class TestMinAlpha:
         blocked = Mechanism("mj", re_tau=F(10), participation="active")
         with pytest.raises(MechanismMismatch):
             min_alpha(blocked, base, (5, F(2, 5), F(1, 5)))
+
+    @pytest.mark.parametrize("tau", [F(0), F(10)], ids=["tau 0", "every outcome r"])
+    @pytest.mark.parametrize(
+        "mech, base, message",
+        [
+            pytest.param(Mechanism("pl", participation="proxy"),
+                         Mechanism("md", participation="proxy"), "not enumerable", id="proxy base"),
+            pytest.param(Mechanism("mj", participation="active"),
+                         Mechanism("mj", participation="proxy"), "not enumerable",
+                         id="proxy base, valid mechanism"),
+            pytest.param(Mechanism("mj", participation="proxy"), Mechanism("pl"),
+                         "rule 'pl' does not apply", id="base rule off the domain"),
+            pytest.param(Mechanism("md", participation="proxy"), MJ,
+                         "median-on-interval only", id="proxy mechanism, off the domain"),
+            pytest.param(Mechanism("mj", participation="proxy"), MJ,
+                         "median-on-interval only", id="proxy mechanism"),
+            pytest.param(Mechanism("pl", participation="active"), MJ,
+                         "rule 'pl' does not apply", id="mechanism rule off the domain"),
+        ],
+    )
+    def test_mismatches_are_reported_in_order(self, mech, base, message, tau):
+        # The base is checked first (a proxy base before its rule's
+        # domain), then the mechanism (proxy participation before its
+        # rule's domain), whether or not any outcome asks the base side:
+        # at re_tau 10 under active participation every outcome is r.
+        with pytest.raises(MechanismMismatch, match=message):
+            min_alpha(dataclasses.replace(mech, re_tau=tau), base, (5, F(2, 5), F(1, 5)))
 
     def test_hypercube_worked_example(self):
         cube = DomainSpec.hypercube(3, (0, 0, 0))
@@ -602,6 +632,67 @@ class TestParamChecks:
     def test_negative_liveness_budget_rejected(self, base, domain, target):
         with pytest.raises(DegenerateParams):
             is_live(Mechanism(base), (3, F(1, 3), 0), target, F(-1, 2), domain)
+
+
+# Binary mechanisms for the int-path differential tests.
+_BINARY_MECHANISMS = [
+    Mechanism(base, base_tau=base_tau, re_tau=tau, participation=mode)
+    for base, base_tau in (("mj", F(0)), ("smj", F(1, 5)))
+    for mode in ("full", "active")
+    for tau in (F(0), F(1, 4), F(2, 3), F(3))
+]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    mech=st.sampled_from(_BINARY_MECHANISMS),
+    sizes=st.tuples(st.integers(1, 40), st.integers(0, 40), st.integers(0, 40)),
+    data=st.data(),
+)
+def test_int_tally_matches_count_table_tally(mech, sizes, data):
+    # min_alpha and run_safety_whp build a binary tally from two ints, the
+    # visible proposal count and the visible electorate; it must be the
+    # tally rules.build_tally sums from the population's count table, with
+    # the same outcome.
+    hp, hm, s = sizes
+    k, j, s_p = (data.draw(st.integers(0, size)) for size in sizes)
+    domain = DomainSpec.binary()
+    table = rules.build_tally(mech, _binary_counts(domain, k, hp, j, hm, s_p, s))
+    if mech.participation == "full":
+        seen, electorate = k + j + s_p, hp + hm + s
+    else:
+        seen, electorate = k + s_p, hp + s
+    ballots = verifier._binary_ballots(domain, seen, electorate)
+    tally = rules._cast_tally(mech, ballots, electorate)
+    assert tally == table
+    assert (tally.counts, tally.q, tally.unit) == (table.counts, table.q, table.unit)
+    want = rules.evaluate_tally(mech, table, domain)
+    assert _binary_outcome(mech, domain, seen, electorate) == want
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    mech=st.sampled_from(_BINARY_MECHANISMS),
+    base=st.sampled_from(_WALK_BASES),
+    active=st.text("rp", min_size=1, max_size=40),
+    passive=st.text("rp", max_size=40),
+    sybil=st.text("rp", max_size=40),
+)
+def test_profile_answer_matches_int_base_side(mech, base, active, passive, sybil):
+    # min_alpha asks the base side with the base-visible honest counts
+    # {p: key, r: v - key} and wraps the int over h; min_alpha_for_profile
+    # splits the profile's count table instead, and must agree.
+    prof = binary_profile(active=active, passive=passive, sybil=sybil)
+    k, j = active.count("p"), passive.count("p")
+    if base.participation == "full":
+        key, visible = k + j, len(active) + len(passive)
+    else:
+        key, visible = k, len(active)
+    honest = {b: c for b, c in (("p", key), ("r", visible - key)) if c}
+    h = len(active) + len(passive)
+    z = apply(mech, prof)
+    want = F(_least_safe_alpha(base, prof.domain, z, honest, h), h)
+    assert min_alpha_for_profile(mech, base, prof) == want
 
 
 class TestWorkLimit:
