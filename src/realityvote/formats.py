@@ -18,7 +18,7 @@ import re
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .errors import InvalidBallot
+from .errors import DegenerateParams, InvalidBallot
 from .guarantees import Setting, _reports
 from .population import (
     Ballot,
@@ -233,24 +233,28 @@ def frontier_rows(
     mu_grid: Sequence[Fraction],
     tau_grid: Sequence[Fraction],
 ) -> Iterable[List[str]]:
-    """One row per grid point, lexicographic in (sigma, mu, tau).  Points
-    with sigma + mu >= 1 come back with the error sentinel instead of
-    threshold values."""
+    """One row per grid point, lexicographic in (sigma, mu, tau).  A negative
+    value on any grid is an error before the first row; points with
+    sigma + mu >= 1 come back with the error sentinel instead of thresholds."""
     def cells(grid):  # each grid value formatted once per call
-        return [(value, _rat(value), _dec(value)) for value in grid]
+        return [(value, value.as_integer_ratio(), _rat(value), _dec(value)) for value in grid]
 
-    mus, taus = cells(mu_grid), cells(tau_grid)
-    for sigma, *sigma_cells in cells(sigma_grid):
-        for mu, *mu_cells in mus:
+    sigmas, mus, taus = cells(sigma_grid), cells(mu_grid), cells(tau_grid)
+    if any(value < 0 for value, *_ in sigmas + mus):
+        raise DegenerateParams("sigma and mu must lie in [0, 1)")
+    if any(value < 0 for value, *_ in taus):
+        raise DegenerateParams("tau must be nonnegative")
+    for sigma, (a, b), *sigma_cells in sigmas:
+        for mu, (c, d), *mu_cells in mus:
             base = [setting.value, *sigma_cells, *mu_cells]
-            if sigma + mu >= 1 or sigma >= 1 or mu >= 1 or not taus:
-                for _, *tau_cells in taus:
+            if a * d + c * b >= b * d or not taus:  # sigma + mu >= 1
+                for _, _, *tau_cells in taus:
                     yield base + tau_cells + [""] * 9 + ["degenerate"]
                 continue
             reports = _reports(setting, sigma, mu, [tau for tau, *_ in taus])
             lo, hi = reports[0].feasible_tau or (None, None)  # one window per (sigma, mu)
             window_cells = ["0" if lo is None else "1", _rat(lo), _dec(lo), _rat(hi), _dec(hi)]
-            for (_, *tau_cells), rep in zip(taus, reports):
+            for (_, _, *tau_cells), rep in zip(taus, reports):
                 alpha, beta = rep.alpha_star, rep.beta_star
                 yield base + tau_cells + [
                     _rat(alpha), _dec(alpha), _rat(beta), _dec(beta), *window_cells, ""
@@ -270,8 +274,7 @@ def write_frontier_csv(
     buffer.write(f"# realityvote-frontier-v{schema_version}\n")
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(FRONTIER_COLUMNS)
-    for row in frontier_rows(setting, sigma_grid, mu_grid, tau_grid):
-        writer.writerow(row)
+    writer.writerows(frontier_rows(setting, sigma_grid, mu_grid, tau_grid))
     return buffer.getvalue()
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DegenerateParams
@@ -36,14 +37,22 @@ def _checked(
 ) -> Tuple[Fraction, ...]:
     """The parameters as Fractions, once every one is checked; ``name`` is
     what the nonnegative ones after sigma and mu are called in the error."""
-    sigma, mu, *taus = map(as_fraction, (sigma, mu, *taus))
-    if not (0 <= sigma < 1 and 0 <= mu < 1):
+    values = tuple(map(as_fraction, (sigma, mu, *taus)))
+    (a, b), (c, d) = values[0].as_integer_ratio(), values[1].as_integer_ratio()
+    if not (0 <= a < b and 0 <= c < d):
         raise DegenerateParams("sigma and mu must lie in [0, 1)")
-    if sigma + mu >= 1:
+    if a * d + c * b >= b * d:
         raise DegenerateParams("sigma + mu must stay below 1")
-    if any(tau < 0 for tau in taus):
+    if any(tau.numerator < 0 for tau in values[2:]):
         raise DegenerateParams(f"{name} must be nonnegative")
-    return (sigma, mu, *taus)
+    return values
+
+
+def _unit(sigma: Fraction, mu: Fraction, other: Rational = 0) -> Tuple[int, int, int, int]:
+    """(d, s, m, t): sigma, mu and other are s/d, m/d and t/d, d the lcm of their denominators."""
+    (s, ds), (m, dm), (t, dt) = (value.as_integer_ratio() for value in (sigma, mu, other))
+    d = lcm(ds, dm, dt)
+    return d, s * (d // ds), m * (d // dm), t * (d // dt)
 
 
 def _tau_weight(setting: Setting) -> int:
@@ -53,42 +62,46 @@ def _tau_weight(setting: Setting) -> int:
 
 
 def _alpha_star(setting: Setting, sigma: Fraction, mu: Fraction, tau: Fraction) -> Fraction:
-    if setting in _RANDOM:
-        value = (sigma - tau * (1 - mu)) * (1 - sigma) / (2 * (1 - mu - sigma))
-    elif setting is Setting.PROXY_INTERVAL:  # mu plays no role
-        value = (sigma - tau) / (2 * (1 - sigma))
-    else:
-        value = (1 + sigma - (1 + _tau_weight(setting) * tau) * (1 - mu)) / (2 * (1 - sigma))
-    return max(Fraction(0), value)
+    d, s, m, t = _unit(sigma, mu, tau)
+    if setting in _RANDOM:  # (sigma - tau (1 - mu)) (1 - sigma) / (2 (1 - mu - sigma))
+        num, den = (s * d - t * (d - m)) * (d - s), 2 * d * d * (d - m - s)
+    elif setting is Setting.PROXY_INTERVAL:  # (sigma - tau) / (2 (1 - sigma)): no mu
+        num, den = s - t, 2 * (d - s)
+    else:  # (1 + sigma - (1 + w tau) (1 - mu)) / (2 (1 - sigma))
+        num, den = d * (d + s) - (d + _tau_weight(setting) * t) * (d - m), 2 * d * (d - s)
+    return Fraction(num, den) if num > 0 else Fraction(0)
 
 
 def _beta_star(setting: Setting, sigma: Fraction, mu: Fraction, tau: Fraction) -> Fraction:
-    if setting is Setting.PROXY_INTERVAL:
-        return (1 + tau) / (2 * (1 - sigma))
-    return (1 - mu) * (1 + _tau_weight(setting) * tau) / (2 * (1 - sigma - mu))
+    d, s, m, t = _unit(sigma, mu, tau)
+    if setting is Setting.PROXY_INTERVAL:  # (1 + tau) / (2 (1 - sigma))
+        return Fraction(d + t, 2 * (d - s))
+    # (1 - mu) (1 + w tau) / (2 (1 - sigma - mu))
+    return Fraction((d - m) * (d + _tau_weight(setting) * t), 2 * d * (d - s - m))
 
 
 def _tau_for(setting: Setting, sigma: Fraction, mu: Fraction, alpha: Fraction) -> Fraction:
-    """_alpha_star inverted in tau, unclamped."""
-    if setting in _RANDOM:
-        return (sigma - 2 * alpha * (1 - mu - sigma) / (1 - sigma)) / (1 - mu)
-    if setting is Setting.PROXY_INTERVAL:
-        return sigma - 2 * alpha * (1 - sigma)
-    return ((1 + sigma - 2 * alpha * (1 - sigma)) / (1 - mu) - 1) / _tau_weight(setting)
+    """_alpha_star inverted in tau, clamped at 0."""
+    d, s, m, a = _unit(sigma, mu, alpha)
+    if setting in _RANDOM:  # (sigma - 2 alpha (1 - mu - sigma) / (1 - sigma)) / (1 - mu)
+        num, den = s * (d - s) - 2 * a * (d - m - s), (d - s) * (d - m)
+    elif setting is Setting.PROXY_INTERVAL:  # sigma - 2 alpha (1 - sigma)
+        num, den = s * d - 2 * a * (d - s), d * d
+    else:  # ((1 + sigma - 2 alpha (1 - sigma)) / (1 - mu) - 1) / w
+        num, den = d * (s + m) - 2 * a * (d - s), _tau_weight(setting) * d * (d - m)
+    return Fraction(num, den) if num > 0 else Fraction(0)
 
 
 def _window(setting: Setting, sigma: Fraction, mu: Fraction) -> Optional[TauWindow]:
     """[tau_lo, tau_hi): tau_lo buys 0-safety, and _beta_star reaches 1 at tau_hi."""
-    if setting is Setting.PROXY_INTERVAL:
-        tau_lo, tau_hi = sigma, 1 - 2 * sigma
-    else:
-        tau_hi = 2 * (1 - sigma - mu) / (1 - mu) - 1
-        if setting in _RANDOM:
-            tau_lo = sigma / (1 - mu)
-        else:
-            weight = _tau_weight(setting)
-            tau_lo, tau_hi = ((1 + sigma) / (1 - mu) - 1) / weight, tau_hi / weight
-    return (tau_lo, tau_hi) if tau_lo < tau_hi else None
+    d, s, m, _ = _unit(sigma, mu)
+    if setting is Setting.PROXY_INTERVAL:  # [sigma, 1 - 2 sigma)
+        lo, hi, den = s, d - 2 * s, d
+    else:  # tau_lo = sigma / (1 - mu) if random, else ((1 + sigma) / (1 - mu) - 1) / w
+        lo = s if setting in _RANDOM else s + m
+        # tau_hi = (2 (1 - sigma - mu) / (1 - mu) - 1) / w
+        hi, den = d - 2 * s - m, _tau_weight(setting) * (d - m)
+    return (Fraction(lo, den), Fraction(hi, den)) if lo < hi else None
 
 
 def safety_threshold(
@@ -143,7 +156,7 @@ def feasibility(setting: Setting, sigma: Rational, mu: Rational) -> GuaranteeRep
     """
     sigma, mu = _checked(sigma, mu)
     window = _window(setting, sigma, mu)
-    tau = max(Fraction(0), window[0]) if window else Fraction(0)
+    tau = window[0] if window else Fraction(0)  # tau_lo is never negative
     return _report(setting, sigma, mu, tau, window)
 
 
@@ -152,8 +165,7 @@ def required_tau(
 ) -> Fraction:
     """Minimal tau achieving the requested safety level, by inverting the
     safety threshold; clamped at 0 and nonincreasing in the target."""
-    sigma, mu, alpha_target = _checked(sigma, mu, alpha_target, name="alpha target")
-    return max(Fraction(0), _tau_for(setting, sigma, mu, alpha_target))
+    return _tau_for(setting, *_checked(sigma, mu, alpha_target, name="alpha target"))
 
 
 def report(setting: Setting, sigma: Rational, mu: Rational, tau: Rational) -> GuaranteeReport:

@@ -613,6 +613,35 @@ class TestFrontier:
         assert main(_frontier(**{grid: raw})) == 2
         assert "error (input)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "sigma, mu, tau, message",
+        [
+            ("1", "-1/5", "0", "sigma and mu must lie in [0, 1)"),
+            ("0", "-1/5", "0", "sigma and mu must lie in [0, 1)"),
+            ("-1/5", "1", "0", "sigma and mu must lie in [0, 1)"),
+            ("1,2", "0,-1/5", "0", "sigma and mu must lie in [0, 1)"),
+            ("1", "0", "-1", "tau must be nonnegative"),
+            ("0", "0", "-1", "tau must be nonnegative"),
+            ("1/2", "1/2", "0,-1/10", "tau must be nonnegative"),
+        ],
+    )
+    def test_negative_grid_value_is_an_error_whatever_its_pair(
+        self, sigma, mu, tau, message, capsys
+    ):
+        # The sign of every grid value is checked before the first row, so a
+        # degenerate pair (sigma + mu >= 1) does not let a negative one through.
+        assert main(_frontier(sigma, mu, tau)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+    @pytest.mark.parametrize("sigma, mu", [("1", "0"), ("0", "1"), ("1/2", "1/2"), ("3/5", "2/3")])
+    def test_nonnegative_pair_summing_to_one_is_a_degenerate_row(self, sigma, mu, capsys):
+        assert main(_frontier(sigma, mu, "0,1/10")) == 0
+        rows = capsys.readouterr().out.splitlines()[2:]
+        assert len(rows) == 2
+        assert all(row.endswith(",,,,,,,,,,degenerate") for row in rows)
+
     def test_unknown_schema_version(self):
         with pytest.raises(Exception):
             write_frontier_csv(Setting.ARBITRARY_BINARY, [F(0)], [F(0)], [F(0)], schema_version=9)

@@ -331,19 +331,44 @@ parameters = st.one_of(
 )
 
 
+# Large denominators, coprime ones among them, so that the common
+# denominator of sigma, mu and tau runs to about 10**18 and beyond.
+large_denominators = st.one_of(
+    st.sampled_from([F(1, 999983), F(2, 999979), F(999982, 999983), F(499990, 999979)]),
+    st.fractions(min_value=0, max_value=1, max_denominator=10**6),
+)
+
+
+def _assert_every_public_function_agrees(setting, sigma, mu, tau, alpha_target):
+    pairs = [
+        (safety_threshold, ref_safety_threshold, (sigma, mu, tau)),
+        (liveness_threshold, ref_liveness_threshold, (sigma, mu, tau)),
+        (report, ref_report, (sigma, mu, tau)),
+        (feasibility, ref_feasibility, (sigma, mu)),
+        (required_tau, ref_required_tau, (sigma, mu, alpha_target)),
+    ]
+    for new, ref, args in pairs:
+        assert _result(new, setting, *args) == _result(ref, setting, *args), new.__name__
+
+
 class TestAgainstPerSettingFormulas:
     @settings(max_examples=400)
     @given(st.sampled_from(list(Setting)), parameters, parameters, parameters, parameters)
     def test_every_public_function(self, setting, sigma, mu, tau, alpha_target):
-        pairs = [
-            (safety_threshold, ref_safety_threshold, (sigma, mu, tau)),
-            (liveness_threshold, ref_liveness_threshold, (sigma, mu, tau)),
-            (report, ref_report, (sigma, mu, tau)),
-            (feasibility, ref_feasibility, (sigma, mu)),
-            (required_tau, ref_required_tau, (sigma, mu, alpha_target)),
-        ]
-        for new, ref, args in pairs:
-            assert _result(new, setting, *args) == _result(ref, setting, *args), new.__name__
+        _assert_every_public_function_agrees(setting, sigma, mu, tau, alpha_target)
+
+    @settings(max_examples=400)
+    @given(
+        st.sampled_from(list(Setting)),
+        large_denominators,
+        large_denominators,
+        large_denominators,
+        large_denominators,
+    )
+    def test_every_public_function_on_large_denominators(
+        self, setting, sigma, mu, tau, alpha_target
+    ):
+        _assert_every_public_function_agrees(setting, sigma, mu, tau, alpha_target)
 
     @pytest.mark.parametrize("setting", list(Setting), ids=lambda s: s.value)
     def test_on_a_grid(self, setting):

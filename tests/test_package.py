@@ -199,3 +199,30 @@ def test_binary_oracle_builds_no_count_table(module, name):
     assert sorted(called & {"_binary_counts", "build_tally", "ballot_counts"}) == []
     if name == "_least_safe_alpha":
         assert "Fraction" not in set(_loaded_names(function))
+
+
+@pytest.mark.parametrize("name", ["_alpha_star", "_beta_star", "_window", "_tau_for"])
+def test_closed_forms_run_on_one_integer_unit(name):
+    # Each closed form takes its parameters to ints over one common
+    # denominator (guarantees._unit) and builds one Fraction per value it
+    # returns, so no operator or comparison in it has a parameter for an
+    # operand: that would be Fraction arithmetic, one normalised Fraction
+    # per operator.
+    parameters = {"sigma", "mu", "tau", "alpha"}
+
+    def operands(node):
+        if isinstance(node, ast.BinOp):
+            return [node.left, node.right]
+        if isinstance(node, ast.UnaryOp):
+            return [node.operand]
+        if isinstance(node, ast.Compare):
+            return [node.left, *node.comparators]
+        return []
+
+    offending = [
+        ast.unparse(node)
+        for node in ast.walk(_function("guarantees", name))
+        if any(isinstance(operand, ast.Name) and operand.id in parameters
+               for operand in operands(node))
+    ]
+    assert offending == []

@@ -1,27 +1,32 @@
-"""The benchmark's recorded oracle answers, every one recomputed.
+"""The benchmark's recorded answers, every one recomputed.
 
 ``perfbench/recorded.json`` holds the oracle answers that the
-``oracle_sweep`` benchmark checks every verdict against.  Recomputing all
-of them (every ``safety`` and ``live`` answer on shapes of up to ten
-voters, and criterion 9's hypercube entry) makes a change in an answer
-fail here rather than only in the benchmark.
+``oracle_sweep`` benchmark checks every verdict against, and the sha256 of
+each frontier CSV that ``cli_eval`` writes.  Recomputing all of them (every
+``safety`` and ``live`` answer on shapes of up to ten voters, criterion 9's
+hypercube entry, and every frontier file) makes a change in an answer or a
+byte fail here rather than only in the benchmark.
 """
 
+import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from realityvote import DomainSpec, Mechanism, build_profile, verifier
+from realityvote.cli import main
 
 from conftest import ACTIVE, SYBIL
 
 F = Fraction
 
 
-def _recorded():
+def _recorded(section="oracle"):
     # Read by path: the benchmark directory is not a package.
     path = Path(__file__).resolve().parents[1] / "perfbench" / "recorded.json"
-    return json.loads(path.read_text(encoding="utf-8"))["oracle"]
+    return json.loads(path.read_text(encoding="utf-8"))[section]
 
 
 def _shape(counts):
@@ -79,3 +84,22 @@ def test_hypercube_answer_matches_the_record():
     imj = Mechanism("imj")
     got = verifier.min_alpha_for_profile(imj, imj, build_profile(cube, voters))
     assert _fmt(got) == _recorded()["hypercube imj criterion-9"]
+
+
+def test_every_frontier_setting_is_recorded():
+    keys = {tuple(key.split()[1:]) for key in _recorded("frontier")}
+    assert keys == {(s, n) for s in ("arbitrary", "random", "proxy") for n in ("4", "20")}
+
+
+@pytest.mark.parametrize("key", sorted(_recorded("frontier")))
+def test_frontier_digest_matches_the_record(key, tmp_path):
+    # 'frontier <setting> <steps>': sigma and mu on the grid i/steps for
+    # i = 0..steps, tau on 0, 1/10, 1/5; the digest is of the file's text.
+    _, setting, steps = key.split()
+    grid = ",".join(_fmt(F(i, int(steps))) for i in range(int(steps) + 1))
+    out = tmp_path / "frontier.csv"
+    argv = ["frontier", "--setting", setting, "--sigma-grid", grid, "--mu-grid", grid,
+            "--tau-grid", "0,1/10,1/5", "--out", str(out)]
+    assert main(argv) == 0
+    digest = hashlib.sha256(out.read_text(encoding="utf-8").encode("utf-8")).hexdigest()
+    assert digest == _recorded("frontier")[key]
