@@ -61,8 +61,8 @@ def _tau_weight(setting: Setting) -> int:
     return 2 if setting is Setting.MULTI_ALT_SMJ else 1
 
 
-def _alpha_star(setting: Setting, sigma: Fraction, mu: Fraction, tau: Fraction) -> Fraction:
-    d, s, m, t = _unit(sigma, mu, tau)
+def _alpha_star(setting: Setting, d: int, s: int, m: int, t: int) -> Fraction:
+    """alpha* at sigma, mu, tau = s/d, m/d, t/d (see _unit)."""
     if setting in _RANDOM:  # (sigma - tau (1 - mu)) (1 - sigma) / (2 (1 - mu - sigma))
         num, den = (s * d - t * (d - m)) * (d - s), 2 * d * d * (d - m - s)
     elif setting is Setting.PROXY_INTERVAL:  # (sigma - tau) / (2 (1 - sigma)): no mu
@@ -72,8 +72,8 @@ def _alpha_star(setting: Setting, sigma: Fraction, mu: Fraction, tau: Fraction) 
     return Fraction(num, den) if num > 0 else Fraction(0)
 
 
-def _beta_star(setting: Setting, sigma: Fraction, mu: Fraction, tau: Fraction) -> Fraction:
-    d, s, m, t = _unit(sigma, mu, tau)
+def _beta_star(setting: Setting, d: int, s: int, m: int, t: int) -> Fraction:
+    """beta* at sigma, mu, tau = s/d, m/d, t/d (see _unit)."""
     if setting is Setting.PROXY_INTERVAL:  # (1 + tau) / (2 (1 - sigma))
         return Fraction(d + t, 2 * (d - s))
     # (1 - mu) (1 + w tau) / (2 (1 - sigma - mu))
@@ -112,7 +112,7 @@ def safety_threshold(
     In the proxy and random-finite settings the guarantee is with high
     probability over the participation draw (see ``safety_is_whp``).
     """
-    return _alpha_star(setting, *_checked(sigma, mu, tau))
+    return _alpha_star(setting, *_unit(*_checked(sigma, mu, tau)))
 
 
 def safety_is_whp(setting: Setting) -> bool:
@@ -123,7 +123,7 @@ def liveness_threshold(
     setting: Setting, sigma: Rational, mu: Rational, tau: Rational
 ) -> Fraction:
     """Infimum beta: the mechanism is beta-live for every beta strictly above."""
-    return _beta_star(setting, *_checked(sigma, mu, tau))
+    return _beta_star(setting, *_unit(*_checked(sigma, mu, tau)))
 
 
 @dataclass(frozen=True)
@@ -186,13 +186,14 @@ def _report(
     setting: Setting, sigma: Fraction, mu: Fraction, tau: Fraction, window: Optional[TauWindow]
 ) -> GuaranteeReport:
     """The report on checked parameters and their window."""
+    unit = _unit(sigma, mu, tau)
     return GuaranteeReport(
         setting=setting,
         sigma=sigma,
         mu=mu,
         tau=tau,
-        alpha_star=_alpha_star(setting, sigma, mu, tau),
-        beta_star=_beta_star(setting, sigma, mu, tau),
+        alpha_star=_alpha_star(setting, *unit),
+        beta_star=_beta_star(setting, *unit),
         alpha_is_whp=safety_is_whp(setting),
         feasible_tau=window,
         impossibility=window is None,

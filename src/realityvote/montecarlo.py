@@ -3,9 +3,16 @@
 Each trial draws the active honest set uniformly without replacement from
 the template's honest population (a binary trial is only a count table)
 and tests its outcome against the verifier's safe region, computed once:
-the base rule reads every honest ballot, so no draw changes it.  Trials
-use substreams derived from (seed, trial index); serial and parallel
-execution therefore agree bit-for-bit.
+the base rule reads every honest ballot, so no draw changes it.
+
+Trial t draws from ``Philox(SeedSequence(seed, spawn_key=(t,)))``, so
+serial and parallel execution agree bit-for-bit.  Philox is counter-based:
+its key alone names the stream.  A run therefore derives every trial's key
+in one vectorised pass (``_trial_keys``, SeedSequence's hash applied to all
+trial indices at once) and re-keys one generator per trial
+(``_trial_generators``), which then draws exactly what a fresh one would.
+A spawn key of 2**32 or more takes a second 32-bit word, so a run has at
+most 2**32 trials.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -45,8 +52,7 @@ class Experiment:
 
     def __post_init__(self):
         object.__setattr__(self, "alpha_prime", as_fraction(self.alpha_prime))
-        if self.trials < 1:
-            raise DegenerateParams("need at least one trial")
+        _check_trials(self.trials)
         if self.alpha_prime <= 0:
             raise DegenerateParams("alpha_prime must be positive")
         if self.base.participation != "full":
@@ -97,8 +103,76 @@ def _trial_stats(
     )
 
 
-def _trial_seed(seed: int, trial: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(entropy=seed, spawn_key=(trial,))
+# numpy's SeedSequence constants (its hash mixes 32-bit words), the number
+# of trials whose keys are derived per array pass, and the most trials a run
+# has: trial t's spawn key (t,) is one 32-bit word.
+_MASK = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_SHIFT = 16
+_KEY_BLOCK = 4096
+_MAX_TRIALS = 2**32
+
+
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise DegenerateParams("need at least one trial")
+    if trials > _MAX_TRIALS:
+        raise DegenerateParams(f"at most {_MAX_TRIALS} trials: one 32-bit spawn word per trial")
+
+
+def _trial_keys(seed: int, trials: int) -> Iterator[Tuple[int, int]]:
+    """Trial t's Philox key, ``SeedSequence(seed, spawn_key=(t,))
+    .generate_state(2, np.uint64)``, for t in range(trials) (at most 2**32).
+
+    SeedSequence(seed) has already hashed the seed's words into its pool;
+    the spawn word t is hashed into each pool word last, with the hash
+    constant that the seed's max(4, w) words (w of them, seed 0 counting as
+    one) leave behind.  Then generate_state hashes the 4 words out.  Both
+    steps run on uint64 arrays of trial indices masked to 32 bits."""
+    pool = np.random.SeedSequence(seed).pool.astype(np.uint64)  # checks the seed
+    words = max(1, -(-int(seed).bit_length() // 32))
+    spawn_const = _INIT_A * pow(_MULT_A, 4 * max(4, words), 1 << 32) & _MASK
+    mask, shift, high = np.uint64(_MASK), np.uint64(_SHIFT), np.uint64(32)
+    for start in range(0, trials, _KEY_BLOCK):
+        t = np.arange(start, min(trials, start + _KEY_BLOCK), dtype=np.uint64)
+        out, mix_const, hash_const = [], spawn_const, _INIT_B
+        for word in pool:
+            # mix(word, hashmix(t))
+            spawn = t ^ np.uint64(mix_const)
+            mix_const = mix_const * _MULT_A & _MASK
+            spawn = spawn * np.uint64(mix_const) & mask
+            spawn ^= spawn >> shift
+            x = (np.uint64(_MIX_MULT_L) * word - np.uint64(_MIX_MULT_R) * spawn) & mask
+            x ^= x >> shift
+            # generate_state's output hash
+            x ^= np.uint64(hash_const)
+            hash_const = hash_const * _MULT_B & _MASK
+            x = x * np.uint64(hash_const) & mask
+            x ^= x >> shift
+            out.append(x)
+        yield from zip((out[0] | out[1] << high).tolist(), (out[2] | out[3] << high).tolist())
+
+
+def _trial_generators(seed: int, trials: int) -> Iterator[np.random.Generator]:
+    """Trial t's generator, drawing exactly as a fresh
+    ``Generator(Philox(SeedSequence(seed, spawn_key=(t,))))`` does: one
+    Philox put, before each trial, in the state a fresh one starts in (the
+    trial's key, counter zero, an empty buffer, no buffered half-word).
+    Every trial gets the same object, so draw trial t's sample before asking
+    for trial t + 1."""
+    bits = np.random.Philox(seed)  # its own key is replaced before the first draw
+    rng = np.random.Generator(bits)
+    stream = {"counter": (0, 0, 0, 0), "key": None}
+    state = {
+        "bit_generator": "Philox", "state": stream, "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    for key in _trial_keys(seed, trials):
+        stream["key"] = key
+        bits.state = state
+        yield rng
 
 
 def _supporter_draws(
@@ -107,8 +181,7 @@ def _supporter_draws(
     """Per trial, how many proposal supporters a uniform draw of n_plus
     active voters from the honest ones hits.  Every rule is anonymous, so
     this count is all of a binary trial's active set that matters."""
-    for trial in range(trials):
-        rng = np.random.Generator(np.random.Philox(_trial_seed(seed, trial)))
+    for rng in _trial_generators(seed, trials):
         yield int(rng.hypergeometric(ngood=supporters, nbad=honest - supporters, nsample=n_plus))
 
 
@@ -176,8 +249,8 @@ def run_proxy_whp(exp: Experiment, c: Rational) -> TrialStats:
     # One sorted index of the template serves every trial (sample_and_run
     # would rebuild it per call).
     index = proxy._ProxyIndex(exp.profile, tau)
-    for trial in range(exp.trials):
-        z, analysis = index.sample(exp.n_plus, _trial_seed(exp.seed, trial))
+    for rng in _trial_generators(exp.seed, exp.trials):
+        z, analysis = index.sample(exp.n_plus, rng)
         if not region.contains(z):
             violations += 1
         if analysis.j_hat > c * h:
@@ -199,8 +272,7 @@ def hoeffding_diagnostic(
         raise DegenerateParams("epsilon must be nonnegative")
     if template.domain.kind != "binary":
         raise MechanismMismatch("the diagnostic runs on binary templates")
-    if trials < 1:
-        raise DegenerateParams("need at least one trial")
+    _check_trials(trials)
     honest_p = ballot_counts(template.counts, HONEST_CLASSES).get(template.domain.proposal, 0)
     honest = template.n_honest
     if n_plus > honest or n_plus < 1:

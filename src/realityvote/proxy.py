@@ -343,14 +343,11 @@ class _ProxyIndex:
             j_bound_holds=j_bound,
         )
 
-    def sample(self, n_plus: int, seed: SeedLike) -> Tuple[Fraction, ProxyAnalysis]:
-        """One random-participation trial: see sample_and_run."""
+    def sample(self, n_plus: int, rng: np.random.Generator) -> Tuple[Fraction, ProxyAnalysis]:
+        """One random-participation trial drawn from rng: see sample_and_run."""
         h = len(self.up.honest)
         if n_plus > h or n_plus < 1:
             raise SampleTooLarge(f"cannot draw {n_plus} of {h} honest voters")
-        if not isinstance(seed, np.random.SeedSequence):
-            seed = np.random.SeedSequence(seed)
-        rng = np.random.Generator(np.random.Philox(seed))
         chosen = rng.choice(h, size=n_plus, replace=False).tolist()
         analysis = self.analyze(chosen)
         if not self.mirrored:
@@ -440,4 +437,5 @@ def sample_and_run(
     given the seed.  Returns the outcome on the original orientation plus
     the normalized-instance analysis.
     """
-    return _ProxyIndex(template, re_tau).sample(n_plus, seed)
+    rng = np.random.Generator(np.random.Philox(seed))
+    return _ProxyIndex(template, re_tau).sample(n_plus, rng)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from realityvote import DomainSpec, build_profile
+from realityvote import DomainSpec, build_profile, montecarlo
 from realityvote.cli import main, parse_mechanism
 from realityvote.errors import InvalidBallot, MechanismMismatch, MixedBallotKind, NoActiveHonest
 from realityvote.formats import (
@@ -755,6 +755,23 @@ class TestSimulate:
             argv = ["simulate", "--kind", kind, "--template", str(path), "--trials", "0"]
             assert main(argv + ["--seed", "1"]) == 2, kind
             assert "need at least one trial" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["whp", "proxy", "hoeffding"])
+    def test_negative_seed_is_input_error(self, kind, templates, capsys):
+        argv = ["simulate", "--kind", kind, "--template", templates[kind], "--n-plus", "4"]
+        assert main(argv + ["--trials", "10", "--seed", "-1"]) == 2
+        assert "error (input)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["whp", "proxy", "hoeffding"])
+    def test_trials_past_one_spawn_word_are_input_error(self, kind, templates, monkeypatch,
+                                                         capsys):
+        # Trial t >= 2**32 would need a two-word spawn key: refused before a draw.
+        draws = []
+        monkeypatch.setattr(montecarlo, "_trial_generators", lambda *args: draws.append(args))
+        argv = ["simulate", "--kind", kind, "--template", templates[kind], "--n-plus", "4"]
+        assert main(argv + ["--trials", "4294967297", "--seed", "1"]) == 2
+        assert "at most 4294967296 trials" in capsys.readouterr().err
+        assert draws == []
 
     @pytest.mark.parametrize("epsilon, code", [("-1/10", 2), ("0", 0)])
     def test_negative_epsilon_is_input_error(self, epsilon, code, tmp_path, capsys):

@@ -1,12 +1,16 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from realityvote import Mechanism, is_safe, verifier
+from realityvote import Mechanism, is_safe, montecarlo, proxy, verifier
 from realityvote.errors import DegenerateParams, SampleTooLarge
 from realityvote.montecarlo import (
     Experiment,
+    _supporter_draws,
+    _trial_generators,
+    _trial_keys,
     hoeffding_diagnostic,
     run_proxy_whp,
     run_safety_whp,
@@ -61,6 +65,12 @@ class TestExperimentValidation:
     def test_sample_must_fit(self):
         with pytest.raises(SampleTooLarge):
             whp_experiment(n_plus=21)
+
+    def test_trial_count_stops_where_one_spawn_word_does(self):
+        # Trial t's spawn key (t,) is one 32-bit word up to t = 2**32 - 1.
+        assert whp_experiment(trials=2**32).trials == 2**32
+        with pytest.raises(DegenerateParams, match="at most 4294967296 trials"):
+            whp_experiment(trials=2**32 + 1)
 
     def test_base_reads_every_honest_ballot(self):
         # The safe region is computed once from the template's honest voters.
@@ -209,6 +219,14 @@ class TestHoeffdingDiagnostic:
         with pytest.raises(DegenerateParams, match="epsilon"):
             hoeffding_diagnostic(self.TEMPLATE, 25, F(-1, 10), trials=100, seed=4)
 
+    def test_trial_count_limit_is_checked_before_any_draw(self, monkeypatch):
+        def no_draw(seed, trials):
+            raise AssertionError("a draw started")
+
+        monkeypatch.setattr(montecarlo, "_trial_generators", no_draw)
+        with pytest.raises(DegenerateParams, match="at most 4294967296 trials"):
+            hoeffding_diagnostic(self.TEMPLATE, 25, F(1, 10), trials=2**32 + 1, seed=4)
+
     def test_zero_epsilon_has_bound_one(self):
         stats = hoeffding_diagnostic(self.TEMPLATE, 25, F(0), trials=100, seed=4)
         assert stats.bound_value == 1.0
@@ -285,3 +303,76 @@ class TestBinaryTrialDraw:
         assert cutoff == F(38, 5) and {7, 8} <= set(draws)
         overshoots = sum(k >= 8 for k in draws)
         assert hoeffding_diagnostic(template, 16, F(1, 10), 300, 29).violation_count == overshoots
+
+
+@lru_cache(maxsize=None)
+def reference_keys(seed, trials):
+    return [
+        tuple(np.random.SeedSequence(seed, spawn_key=(t,)).generate_state(2, np.uint64).tolist())
+        for t in range(trials)
+    ]
+
+
+# One-word, two-word and many-word seeds, the edges of a word included:
+# 2**128 - 1 is the last seed of four words (the pool's size), 2**160 - 1
+# the last of five.
+SEEDS = {
+    "0": 0, "1": 1, "2**32-1": 2**32 - 1, "2**32": 2**32, "2**64": 2**64,
+    "2**128-1": 2**128 - 1, "2**128+7": 2**128 + 7, "2**160-1": 2**160 - 1,
+    "2**200+3": 2**200 + 3,
+}
+
+
+class TestTrialStreams:
+    """One key pass and one re-keyed generator reproduce, trial by trial,
+    what a fresh Philox(SeedSequence(seed, spawn_key=(t,))) draws."""
+
+    @pytest.mark.parametrize("trials", [1, 4095, 4096, 4097])  # around the key block
+    @pytest.mark.parametrize("seed", list(SEEDS.values()), ids=list(SEEDS))
+    def test_keys_match_seed_sequence(self, seed, trials):
+        assert list(_trial_keys(seed, trials)) == reference_keys(seed, 4097)[:trials]
+
+    def test_negative_seed_is_numpy_s_value_error(self):
+        with pytest.raises(ValueError):
+            list(_trial_keys(-1, 3))
+        with pytest.raises(ValueError):
+            next(_trial_generators(-1, 3))
+
+    # (supporters, honest, n_plus): numpy draws a sample under 10 by
+    # counting, and larger ones by ratio of uniforms.
+    @pytest.mark.parametrize("shape", [(6, 20, 3), (30, 80, 9), (30, 80, 20), (500, 1600, 900)])
+    @pytest.mark.parametrize("seed", [0, 2**32, 2**128 + 7], ids=["0", "2**32", "2**128+7"])
+    def test_supporter_draws_match_fresh_streams(self, shape, seed):
+        supporters, honest, n_plus = shape
+        trials = 4097 if shape == (30, 80, 20) else 300  # past one key block
+        want = TestBinaryTrialDraw.reference_draws(supporters, honest, n_plus, trials, seed)
+        assert list(_supporter_draws(supporters, honest, n_plus, trials, seed)) == want
+
+    @pytest.mark.parametrize("n_plus", [1, 3, 40, 200, 399])
+    def test_proxy_samples_match_fresh_streams(self, n_plus):
+        # An odd count of 32-bit draws leaves a buffered half-word behind,
+        # which the next trial must not read.
+        seed = 2**64 + 9
+        for t, rng in enumerate(_trial_generators(seed, 60)):
+            fresh = np.random.Philox(np.random.SeedSequence(seed, spawn_key=(t,)))
+            want = np.random.Generator(fresh).choice(400, size=n_plus, replace=False)
+            assert rng.choice(400, size=n_plus, replace=False).tolist() == want.tolist()
+
+    @pytest.mark.parametrize("n_plus", [2, 20])
+    def test_proxy_counts_match_fresh_stream_replays(self, n_plus):
+        mechanism = Mechanism("md", participation="proxy")
+        exp = proxy_experiment(n_plus=n_plus, trials=80, mechanism=mechanism)
+        c = F(1, 100)
+        stats = run_proxy_whp(exp, c)
+        alpha_prime = c + F(1, 5) / (2 * F(4, 5))  # sigma 1/5, tau 0
+        region = verifier.outcome_range(
+            exp.base, verifier.honest_only(exp.profile), alpha_prime
+        ).safe_region(exp.profile.domain)
+        violations = y_failures = 0
+        for t in range(exp.trials):
+            stream = np.random.SeedSequence(exp.seed, spawn_key=(t,))
+            z, analysis = proxy.sample_and_run(exp.profile, exp.n_plus, 0, stream)
+            violations += not region.contains(z)
+            y_failures += analysis.j_hat > c * exp.profile.n_honest
+        assert 0 < violations < exp.trials and 0 < y_failures < exp.trials
+        assert (stats.violation_count, stats.y_failure_count) == (violations, y_failures)

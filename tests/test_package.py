@@ -4,11 +4,16 @@ import importlib
 import pkgutil
 import runpy
 import typing
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import realityvote
+from realityvote import Mechanism, montecarlo
+
+from conftest import binary_profile, interval_profile
 
 MODULES = [
     importlib.import_module(f"realityvote.{info.name}")
@@ -226,3 +231,51 @@ def test_closed_forms_run_on_one_integer_unit(name):
                for operand in operands(node))
     ]
     assert offending == []
+
+
+def _whp(trials):
+    exp = montecarlo.Experiment(
+        profile=binary_profile(active="p" * 6 + "r" * 14, sybil="p" * 5),
+        mechanism=Mechanism("mj", participation="active"),
+        base=Mechanism("mj"),
+        alpha_prime=1,
+        trials=trials,
+        seed=3,
+        n_plus=10,
+    )
+    return montecarlo.run_safety_whp(exp)
+
+
+def _proxy(trials):
+    exp = montecarlo.Experiment(
+        profile=interval_profile(0, active=range(0, 40, 2), sybil=[60] * 4),
+        mechanism=Mechanism("md", participation="proxy"),
+        base=Mechanism("md"),
+        alpha_prime=1,
+        trials=trials,
+        seed=3,
+        n_plus=5,
+    )
+    return montecarlo.run_proxy_whp(exp, Fraction(1, 2))
+
+
+def _hoeffding(trials):
+    template = binary_profile(active="p" * 6 + "r" * 14)
+    return montecarlo.hoeffding_diagnostic(template, 10, 0, trials, seed=3)
+
+
+@pytest.mark.parametrize("run", [_whp, _proxy, _hoeffding], ids=lambda run: run.__name__[1:])
+@pytest.mark.parametrize("trials", [1, 50])
+def test_a_monte_carlo_call_builds_one_philox(run, trials, monkeypatch):
+    # Philox is counter-based: one generator re-keyed per trial draws what a
+    # fresh one would, so a call builds at most one, whatever its trial count.
+    real = np.random.Philox
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting)
+    assert run(trials).trials == trials
+    assert len(built) <= 1
