@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from . import formats, guarantees, montecarlo, rules, verifier
+from . import formats, guarantees, montecarlo, proxy, rules, verifier
 from .errors import (
     BudgetExceeded,
     InvalidBallot,
@@ -101,8 +101,6 @@ def cmd_eval(args) -> int:
     mechanism = parse_mechanism(args.mechanism)
     rules._check(mechanism, profile.domain)  # a mismatch is reported first
     if mechanism.participation == "proxy":  # one index gives outcome and weights
-        from . import proxy
-
         index = proxy._ProxyIndex(profile, mechanism.re_tau)
         outcome, lines = index.median(), ["entities:"]
         for _, e in sorted(index.entities(), key=lambda xe: (xe[0], not xe[1].is_status_quo)):

@@ -31,6 +31,7 @@ from .population import (
 
 PARTICIPATION_MODES = ("full", "active", "proxy")
 THRESHOLD_RULES = ("smj", "scc", "som")  # the base rules that take a tau
+RANKING_RULES = ("cc", "scc")  # the base rules whose ballots are rankings
 _EVERY_CLASS = tuple(VoterClass)
 _ACTIVE_CLASSES = (VoterClass.HONEST_ACTIVE, VoterClass.SYBIL)
 
@@ -167,8 +168,8 @@ def suppressed_median_at(
     what is kept; trimming it from the bottom shifts the prefix down.
     """
     m = median_at(xs, prefix, total, r)
-    if m == r:
-        return r
+    if m == r or not tau:  # suppressing no mass keeps the median
+        return m
     den = tau.denominator
     cut = tau.numerator * total
     kept = den * total - cut
@@ -292,34 +293,24 @@ def issuewise_majority(tally: Tally, domain: DomainSpec) -> Ballot:
     return tuple(result)
 
 
-def _tally_index(
-    tally: Tally, domain: DomainSpec
-) -> Tuple[int, List[int], List[int], int]:
-    """The tally's cast counts plus the virtual mass q at r, indexed; r is
-    returned scaled."""
+def median(tally: Tally, domain: DomainSpec) -> Fraction:
+    """Median position of the cast votes plus the virtual mass at r."""
+    return suppress_outer_median(0, tally, domain)
+
+
+def suppress_outer_median(tau: Rational, tally: Tally, domain: DomainSpec) -> Fraction:
+    """Suppress-outer-votes median.
+
+    Compute the median m (see median); if it sits off the status quo, discard
+    exactly a tau fraction of the vote mass from the far side (splitting one
+    voter's unit mass if tau times the electorate is fractional), recompute,
+    and keep the new median only if it stayed on the same side of r.
+    """
     r = domain.status_quo_position
     scale, xs, cum = mass_index([*tally.counts.items(), (r, tally.virtual_mass)])
     if not xs:
         raise EmptyElectorate("median of an empty electorate")
-    return scale, xs, cum, scaled(r, scale)
-
-
-def median(tally: Tally, domain: DomainSpec) -> Fraction:
-    """Median position of the cast votes plus the virtual mass at r."""
-    scale, xs, cum, r = _tally_index(tally, domain)
-    return Fraction(median_at(xs, cum.__getitem__, cum[-1], r), scale)
-
-
-def suppress_outer_median(tau: Fraction, tally: Tally, domain: DomainSpec) -> Fraction:
-    """Suppress-outer-votes median.
-
-    Compute the median m; if it sits off the status quo, discard exactly a
-    tau fraction of the vote mass from the far side (splitting one voter's
-    unit mass if tau times the electorate is fractional), recompute, and
-    keep the new median only if it stayed on the same side of r.
-    """
-    scale, xs, cum, r = _tally_index(tally, domain)
-    m = suppressed_median_at(as_fraction(tau), xs, cum.__getitem__, cum[-1], r)
+    m = suppressed_median_at(as_fraction(tau), xs, cum.__getitem__, cum[-1], scaled(r, scale))
     return Fraction(m, scale)
 
 
@@ -356,16 +347,18 @@ def _cast_tally(mechanism: Mechanism, cast: Dict[Ballot, int], electorate: int) 
 
 #: Base rule -> (its evaluator on (mechanism, tally, domain), the domain
 #: kinds it applies to).  A rule outside THRESHOLD_RULES has base_tau 0, so
-#: cc is scc at tau 0.
+#: cc is scc and md is som at tau 0: each pair shares one evaluator.
+_condorcet = lambda m, t, d: condorcet_conservative(m.base_tau, t, d)
+_suppressed = lambda m, t, d: suppress_outer_median(m.base_tau, t, d)
 _RULES: Dict[str, Tuple[Callable[..., Ballot], Tuple[str, ...]]] = {
     "mj": (lambda m, t, d: majority(t, d), ("binary",)),
     "pl": (lambda m, t, d: plurality(t, d), ("categorical",)),
     "smj": (lambda m, t, d: supermajority(m.base_tau, t, d), ("binary", "categorical")),
-    "cc": (lambda m, t, d: condorcet_conservative(m.base_tau, t, d), ("categorical",)),
-    "scc": (lambda m, t, d: condorcet_conservative(m.base_tau, t, d), ("categorical",)),
+    "cc": (_condorcet, ("categorical",)),
+    "scc": (_condorcet, ("categorical",)),
     "imj": (lambda m, t, d: issuewise_majority(t, d), ("hypercube",)),
-    "md": (lambda m, t, d: median(t, d), ("interval",)),
-    "som": (lambda m, t, d: suppress_outer_median(m.base_tau, t, d), ("interval",)),
+    "md": (_suppressed, ("interval",)),
+    "som": (_suppressed, ("interval",)),
 }
 BASE_RULES = tuple(_RULES)
 

@@ -243,7 +243,7 @@ def _interval_ranges(
     sentinel block plus the sybils, so a prefix mass is two bisections.
     """
     r = domain.status_quo_position
-    rules._rule(mechanism, domain)  # MechanismMismatch unless md or som
+    rules._rule(mechanism, domain)  # MechanismMismatch unless a line rule
     positions = [*honest_counts, *sybil_counts, r]
     sentinel = max(abs(p) for p in positions) + _BIG_STEP
     scale = rules.position_scale([*positions, sentinel])
@@ -275,8 +275,6 @@ def _interval_ranges(
         total = electorate * unit + q
         if total <= 0:
             raise EmptyElectorate("median of an empty electorate")
-        if mechanism.base == "md":
-            return rules.median_at(xs, prefix, total, r_x)
         return rules.suppressed_median_at(mechanism.base_tau, xs, prefix, total, r_x)
 
     lo = hi = evaluate(0, h, 0, top)
@@ -503,7 +501,7 @@ def _live_cost(
         placements = [{-far: s}, {far: s}] if s else [{}]
     else:
         candidates = domain.alternative_list()
-        if mechanism.base in ("cc", "scc") and domain.kind == "categorical":
+        if mechanism.base in rules.RANKING_RULES and domain.kind == "categorical":
             r = (r, *[a for a in candidates if a != r])  # r first, the rest in order
             candidates = tuple(itertools.permutations(candidates))
         placements = [

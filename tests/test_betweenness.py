@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from realityvote import DomainSpec, between, between_union
-from realityvote.errors import EmptyTargetSet
+from realityvote.errors import EmptyTargetSet, InvalidBallot
 
 CAT = DomainSpec.categorical(["r", "a", "b", "q"], "r")
 CUBE = DomainSpec.hypercube(3, (0, 0, 0))
@@ -73,6 +73,10 @@ class TestMembership:
     def test_box_coordinate_check(self):
         region = between(CUBE, (0, 1, 0), (1, 1, 1))
         assert not region.contains((1, 0, 0))
+
+    def test_box_point_of_another_dimension(self):
+        with pytest.raises(InvalidBallot, match="point does not match the box dimension"):
+            between(CUBE, (0, 1, 0), (1, 1, 1)).contains((1, 1))
 
 
 cube_points = st.tuples(

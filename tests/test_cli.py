@@ -400,6 +400,36 @@ class TestEval:
         path.write_text(json.dumps({"domain": PARTIAL_POP["domain"], "voters": []}))
         assert main(["eval", "--profile", str(path), "--mechanism", "mj"]) == 2
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("xx", "unknown base rule 'xx'"),
+            ("mj mode:bogus", "unknown participation mode 'bogus'"),
+            ("md re:-1/5 mode:active", "tau parameters must be nonnegative"),
+            ("som:1", "suppression fraction must lie in [0, 1)"),
+        ],
+    )
+    def test_bad_mechanism_is_a_mismatch(self, spec, message, partial_pop_file, capsys):
+        assert main(["eval", "--profile", partial_pop_file, "--mechanism", spec]) == 3
+        assert capsys.readouterr().err == f"error (mechanism/domain): {message}\n"
+
+    @pytest.mark.parametrize(
+        "domain, message",
+        [
+            (None, "profile file is not valid JSON"),
+            ({"kind": "torus"}, "unknown domain kind 'torus'"),
+            ({"kind": "binary", "r": "r", "p": "r"}, "binary domain needs two distinct"),
+            ({"kind": "categorical", "alternatives": ["r"], "r": "r"},
+             "categorical domain needs at least 2 alternatives"),
+        ],
+    )
+    def test_bad_profile_file_is_input_error(self, domain, message, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        voters = [{"class": "honest_active", "ballot": "r"}]
+        path.write_text("{" if domain is None else json.dumps({"domain": domain, "voters": voters}))
+        assert main(["eval", "--profile", str(path), "--mechanism", "mj"]) == 2
+        assert capsys.readouterr().err.startswith(f"error (input): {message}")
+
     def test_domain_mismatch_exit(self, partial_pop_file):
         assert main(["eval", "--profile", partial_pop_file, "--mechanism", "md"]) == 3
 
@@ -682,6 +712,11 @@ class TestOracle:
 
     def test_bad_shape_is_input_error(self):
         assert main(["oracle", "--shape", "5,2/5", "--mechanism", "mj"]) == 2
+
+    def test_shape_without_an_active_honest_voter_is_input_error(self, capsys):
+        assert main(["oracle", "--shape", "4,1/2,1/2", "--mechanism", "mj"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error (input): shape needs at least one active honest voter\n"
 
     def test_proxy_mechanism_on_shapes_is_a_mismatch(self):
         # The binary worst case evaluates count tables, which carry no voter

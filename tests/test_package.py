@@ -279,3 +279,50 @@ def test_a_monte_carlo_call_builds_one_philox(run, trials, monkeypatch):
     monkeypatch.setattr(np.random, "Philox", counting)
     assert run(trials).trials == trials
     assert len(built) <= 1
+
+
+@pytest.mark.parametrize("module", ["verifier", "montecarlo"])
+def test_only_rules_names_a_base_rule(module):
+    # How a base rule evaluates and which ballots it takes is decided in
+    # rules (its rule table, RANKING_RULES); the oracle compares no
+    # mechanism's base with a rule name or a tuple of rule names.
+    def is_names(node):
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return bool(node.elts) and all(map(is_names, node.elts))
+        return isinstance(node, ast.Constant) and isinstance(node.value, str)
+
+    offending = [
+        ast.unparse(node)
+        for node in ast.walk(SOURCES[module])
+        if isinstance(node, ast.Compare)
+        for operands in [[node.left, *node.comparators]]
+        if any(isinstance(o, ast.Attribute) and o.attr == "base" for o in operands)
+        and any(map(is_names, operands))
+    ]
+    assert offending == []
+
+
+def test_a_median_rule_runs_one_median_per_evaluation(monkeypatch):
+    # md is som at tau 0, and suppressing nothing keeps the median: one
+    # median_at per evaluation, in rules.apply and in each evaluation of the
+    # verifier's interval walk alike.
+    rules, verifier = realityvote.rules, realityvote.verifier
+    calls = []
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(rules, "median_at", counting("median", rules.median_at))
+    monkeypatch.setattr(rules, "suppressed_median_at",
+                        counting("evaluate", rules.suppressed_median_at))
+    md = Mechanism("md", re_tau=Fraction(1, 5))
+    profile = interval_profile(0, active=(3, 5, 8, 9), passive=(-2, 7), sybil=(12,))
+    assert rules.apply(md, profile) == 5
+    assert calls == ["evaluate", "median"]
+    calls.clear()
+    reach = verifier.outcome_range(md, profile, Fraction(1, 2))
+    assert (reach.budget, reach.lo, reach.hi) == (3, 0, 9)
+    assert len(calls) > 20 and calls == ["evaluate", "median"] * (len(calls) // 2)

@@ -130,6 +130,16 @@ class TestDomainSpec:
         with pytest.raises(InvalidBallot):
             DomainSpec.categorical(["a", "b"], "c")
 
+    def test_the_interval_has_no_alternative_list(self):
+        with pytest.raises(InvalidBallot, match="no finite alternative list"):
+            DomainSpec.interval(0).alternative_list()
+
+    def test_a_liveness_target_is_no_ranking(self):
+        # is_live reads its target through validate_ballot(allow_ranking=False).
+        cat = DomainSpec.categorical(["r", "a", "b"], "r")
+        with pytest.raises(InvalidBallot, match="ranking ballot not allowed here"):
+            is_live(Mechanism("cc", participation="active"), (3, 0, 0), ("a", "r", "b"), 1, cat)
+
     def test_hypercube_alternatives(self):
         domain = DomainSpec.hypercube(2, (0, 0))
         assert domain.alternative_list() == ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -201,6 +211,10 @@ class TestProjectToPair:
         assert votes.count("13") == 8
         assert [c for c, _ in out.voters] == [c for c, _ in delegation_population.voters]
 
+    def test_binary_profiles_do_not_project(self):
+        with pytest.raises(InvalidBallot, match="projection is defined on interval profiles"):
+            project_to_pair(binary_profile(active="p"), 0, 1)
+
     def test_requires_order(self, delegation_population):
         with pytest.raises(InvalidBallot):
             project_to_pair(delegation_population, 6, 6)
@@ -261,6 +275,22 @@ class TestNonatomic:
                 s_p=Fraction(0),
                 participation=Fraction(1),
             )
+
+    @pytest.mark.parametrize(
+        "masses, participation, error, message",
+        [
+            ((Fraction(-1, 2), 1, Fraction(1, 2), 0), 1, InvalidBallot,
+             "masses must be nonnegative"),
+            ((Fraction(1, 2), Fraction(1, 2), 0, 0), Fraction(3, 2), InvalidBallot,
+             "participation rate must lie in"),
+            ((Fraction(1, 2), Fraction(1, 2), 0, 0), 0, NoActiveHonest, "no active honest mass"),
+        ],
+    )
+    def test_each_check(self, masses, participation, error, message):
+        h_r, h_p, s_r, s_p = map(Fraction, masses)
+        participation = Fraction(participation)
+        with pytest.raises(error, match=message):
+            NonatomicProfile(h_r=h_r, h_p=h_p, s_r=s_r, s_p=s_p, participation=participation)
 
     def test_active_mass_split(self):
         pop = NonatomicProfile(

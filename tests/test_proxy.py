@@ -15,10 +15,16 @@ from realityvote import (
     sample_and_run,
     weighted_median,
 )
-from realityvote.errors import EmptyEntries, MissingPrivateBallots, SampleTooLarge
+from realityvote.errors import (
+    EmptyEntries,
+    MissingPrivateBallots,
+    NoProxyAvailable,
+    SampleTooLarge,
+)
+from realityvote.population import Profile
 from realityvote.proxy import nearest_entity_to
 
-from conftest import ACTIVE, PASSIVE, SYBIL, interval_profile
+from conftest import ACTIVE, PASSIVE, SYBIL, binary_profile, interval_profile
 
 
 def weight_at(weights, position, status_quo=None):
@@ -62,6 +68,16 @@ class TestDelegate:
         )
         with pytest.raises(MissingPrivateBallots):
             delegate(prof, 0)
+
+    def test_binary_profiles_have_no_delegation(self):
+        with pytest.raises(NoProxyAvailable, match="delegation is defined on the interval domain"):
+            delegate(binary_profile(active="p"), 0)
+
+    def test_passives_alone_have_no_proxy_without_the_status_quo(self):
+        # build_profile refuses a profile without an active voter; a raw Profile does not.
+        prof = Profile(DomainSpec.interval(0), ((PASSIVE, Fraction(1)),))
+        with pytest.raises(NoProxyAvailable, match="the status quo is excluded"):
+            delegate(prof, 0, include_status_quo=False)
 
     def test_status_quo_unit_weight_variant(self):
         prof = interval_profile(0, active=(5,))

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from realityvote import DomainSpec, Mechanism, apply, build_profile, project_to_pair
+from realityvote import (
+    DomainSpec, Mechanism, apply, build_profile, md_proxy, project_to_pair, weighted_median
+)
 from realityvote.errors import (
     EmptyElectorate,
     MechanismMismatch,
@@ -166,6 +168,11 @@ class TestSuppressedMedian:
         tally = tally_ballots([Fraction(4)] * 5)
         assert suppress_outer_median(Fraction(1, 3), tally, LINE4) == 4
 
+    def test_suppressing_every_vote_keeps_the_status_quo(self):
+        tally = tally_ballots([Fraction(5)] * 3)
+        assert median(tally, LINE4) == suppress_outer_median(0, tally, LINE4) == 5
+        assert suppress_outer_median(Fraction(1), tally, LINE4) == 4
+
     def test_matches_reality_enforcing_median(self):
         ballots = [Fraction(x) for x in (2, 5, 7, 11, 12, 12, 16, 17, 8, 15, 15)]
         tau = Fraction(3, 11)
@@ -232,6 +239,15 @@ class TestApply:
         prof = build_profile(BIN, [(ACTIVE, "r"), (PASSIVE, None)])
         with pytest.raises(MissingPrivateBallots):
             apply(Mechanism("mj"), prof)
+
+    def test_proxy_participation_is_the_proxy_median(self, delegation_population):
+        mech = Mechanism("md", re_tau=Fraction(1, 5), participation="proxy")
+        assert apply(mech, delegation_population) == md_proxy(delegation_population, Fraction(1, 5))
+
+    def test_proxy_participation_is_median_on_interval_only(self, example_partial):
+        with pytest.raises(MechanismMismatch) as raised:
+            apply(Mechanism("mj", participation="proxy"), example_partial)
+        assert str(raised.value) == "proxy participation is median-on-interval only"
 
     def test_domain_mismatch_is_reported_first(self):
         # Off its domain and missing a private ballot: the rule is the error.
@@ -432,6 +448,10 @@ class TestMassIndex:
         assert (scale, xs, cum) == mass_index([(p, F(m)) for p, m in entries])
         assert (scale, xs, cum) == (6, [-2, 0, 3, 12], [8, 12, 24, 29])
         assert all(type(c) is int for c in cum)
+
+    def test_negative_masses_are_refused(self):
+        with pytest.raises(EmptyElectorate, match="negative mass"):
+            weighted_median([(0, -1), (1, 2)])
 
     @pytest.mark.parametrize("mass", [1.0, True])
     def test_float_and_bool_masses_are_type_errors(self, mass):

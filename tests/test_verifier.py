@@ -38,6 +38,7 @@ from realityvote.errors import (
 from realityvote.guarantees import Setting, liveness_threshold, safety_threshold
 from realityvote.population import Profile, VoterClass
 from realityvote.verifier import (
+    AdversarialWitness,
     _binary_counts,
     _binary_outcome,
     _least_safe_alpha,
@@ -62,6 +63,11 @@ class TestOutcomeRange:
         prof = binary_profile(active="rrp", sybil="pp")
         rng = outcome_range(MJ, prof, 0)
         assert rng.reachable == frozenset({apply(MJ, prof)})
+
+    def test_full_participation_needs_every_passive_ballot(self):
+        prof = build_profile(DomainSpec.interval(0), [(ACTIVE, F(1)), (PASSIVE, None)])
+        with pytest.raises(MissingPrivateBallots, match="modifiable honest voters need ballots"):
+            outcome_range(Mechanism("md"), prof, 1)
 
     def test_supermajority_needs_nineteen(self):
         # From all-on-r with two sybils on r, nineteen supporters overcome
@@ -532,6 +538,27 @@ class TestWitnesses:
     def test_pair_needs_regime(self):
         with pytest.raises(RegimeMismatch):
             tightness_witness("indistinguishable-pair", sigma=F(1, 10), mu=F(1, 10))
+
+    @pytest.mark.parametrize(
+        "construction, sigma, mu, error, message",
+        [
+            ("bogus", None, None, RegimeMismatch, "no construction implemented for 'bogus'"),
+            ("indistinguishable-pair", F(1, 2), F(1, 2), DegenerateParams,
+             r"sigma \+ mu must stay"),
+            ("random-indistinguishable-pair", F(1, 2), F(1, 2), DegenerateParams,
+             r"sigma \+ mu must stay"),
+            ("random-indistinguishable-pair", F(1, 10), F(1, 10), RegimeMismatch,
+             r"needs 3\*sigma \+ mu >= 1"),
+        ],
+    )
+    def test_construction_outside_its_regime(self, construction, sigma, mu, error, message):
+        params = {} if sigma is None else {"sigma": sigma, "mu": mu}
+        with pytest.raises(error, match=message):
+            tightness_witness(construction, **params)
+
+    def test_unknown_construction_does_not_replay(self):
+        with pytest.raises(RegimeMismatch, match="cannot replay 'bogus'"):
+            replay_witness(AdversarialWitness(construction="bogus", violated="nothing"))
 
     def test_nonatomic_pair(self):
         w = tightness_witness("random-indistinguishable-pair", sigma=F(3, 10), mu=F(1, 5))
