@@ -140,14 +140,6 @@ def shape(raw: str) -> Tuple[int, Fraction, Fraction]:  # argparse's errors name
     return formats.parse_int(n), formats.parse_rational(sigma), formats.parse_rational(mu)
 
 
-def _setting_for(mechanism: Mechanism) -> Setting:
-    return Setting.MULTI_ALT_SMJ if mechanism.base == "smj" else Setting.ARBITRARY_BINARY
-
-
-def _oracle_tau(mechanism: Mechanism) -> Fraction:
-    return mechanism.base_tau if mechanism.base == "smj" else mechanism.re_tau
-
-
 def enumeration_cap() -> int:
     """Instance-size cap for the exhaustive commands, env-overridable."""
     raw = os.environ.get(ENUM_CAP_ENV)
@@ -168,8 +160,7 @@ def cmd_oracle(args) -> int:
         )
     mechanism = parse_mechanism(args.mechanism)
     base = parse_mechanism(args.base) if args.base else Mechanism(base="mj")
-    setting = _setting_for(mechanism)
-    tau = _oracle_tau(mechanism)
+    setting, tau = rules.closed_form(mechanism)
 
     if args.liveness:
         threshold = guarantees.liveness_threshold(setting, sigma, mu, tau)

@@ -242,18 +242,22 @@ def run_proxy_whp(exp: Experiment, c: Rational) -> TrialStats:
         exp.base, verifier.honest_only(exp.profile), alpha_prime
     ).safe_region(exp.profile.domain)
 
-    h = exp.profile.n_honest
     bound = float((1 - c)) ** exp.n_plus
+    # One sorted index of the template serves every trial (sample_and_run
+    # would rebuild it per call); a trial reads only z and j-hat, as ints
+    # compared with the region's ends and with c * h cross-multiplied.
+    index = proxy._ProxyIndex(exp.profile, tau)
+    scale = index.scale
+    lo, hi = region.lo, region.hi
+    y_limit = c.numerator * exp.profile.n_honest
     violations = 0
     y_failures = 0
-    # One sorted index of the template serves every trial (sample_and_run
-    # would rebuild it per call).
-    index = proxy._ProxyIndex(exp.profile, tau)
     for rng in _trial_generators(exp.seed, exp.trials):
-        z, analysis = index.sample(exp.n_plus, rng)
-        if not region.contains(z):
+        _, z, j_hat = index.trial(exp.n_plus, rng)
+        if (lo is not None and z * lo.denominator < lo.numerator * scale) or (
+                hi is not None and z * hi.denominator > hi.numerator * scale):
             violations += 1
-        if analysis.j_hat > c * h:
+        if j_hat * c.denominator > y_limit:
             y_failures += 1
     return _trial_stats(violations, exp.trials, bound, y_failures)
 

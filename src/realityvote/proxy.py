@@ -8,8 +8,10 @@ envelope on concrete instances.
 
 Every function here runs on one sorted integer index of the population
 (``_ProxyIndex``): positions scaled to a common integer denominator and
-sorted once, so a delegation segment's follower count is two bisections and
-a Monte Carlo trial costs O(n+ log n) integer work for n+ drawn actives.
+sorted once, so a delegation segment's follower count is two bisections.
+A Monte Carlo trial (``_ProxyIndex.trial``) builds only the outcome z on
+the original line and j-hat on the normalized one, both ints: O(n+ log n)
+integer work for n+ drawn actives, with no analysis and no Fraction.
 Rationals appear only in the returned values.
 """
 
@@ -250,7 +252,7 @@ class _ProxyIndex:
             mass = (cuts[k] + bisect.bisect_right(sybils, x)) * unit
             return mass + sq if x >= r else mass
 
-        return pool[rules.least_reaching(len(pool), prefix, self.n * unit + sq)]
+        return rules.locate(pool, prefix)(self.n * unit + sq)
 
     # -- analysis: the normalized orientation, constant across draws --------
 
@@ -278,14 +280,30 @@ class _ProxyIndex:
             mass = (line.honest_upto(x) + bisect.bisect_right(line.sybils, x)) * unit
             return mass + sq if x >= line.r else mass
 
-        return rules.median_at(xs, prefix, self.n * unit + sq, line.r)
+        return rules.median_at(rules.locate(xs, prefix), self.n * unit + sq, line.r)
 
     @staticmethod
     def _honest_median(line: _Line) -> int:
         xs = line.sorted
-        return rules.median_at(
-            xs, lambda i: line.honest_upto(xs[i]), len(xs), line.r
-        )
+        least = rules.locate(xs, lambda i: line.honest_upto(xs[i]))
+        return rules.median_at(least, len(xs), line.r)
+
+    def passives(self, drawn: Sequence[int], a: int, b: int) -> int:
+        """Directional count of passive voters in (a, b] on the normalized
+        line, given the drawn actives there ascending."""
+        if b < a:
+            return -self.passives(drawn, b, a)
+        honest = self.work.honest_upto(b) - self.work.honest_upto(a)
+        return honest - bisect.bisect_right(drawn, b) + bisect.bisect_right(drawn, a)
+
+    def j_hat(self, drawn: Sequence[int]) -> int:
+        """Passive voters from h-hat up to the first drawn active at or above
+        it (up to the last honest voter when there is none), on the
+        normalized line, given the drawn actives there ascending."""
+        h_hat = self.h_hat
+        i = bisect.bisect_left(drawn, h_hat)
+        end = drawn[i] if i < len(drawn) else max(h_hat, self.work.sorted[-1])
+        return self.passives(drawn, h_hat, end)
 
     def analyze(self, chosen: Sequence[int]) -> ProxyAnalysis:
         """The analysis of the instance whose active honest voters are the
@@ -302,18 +320,6 @@ class _ProxyIndex:
         i = bisect.bisect_right(drawn, h_hat)
         h_hat_under = drawn[i - 1] if i else None
 
-        def passives(a: int, b: int) -> int:
-            """Directional count of passive voters in (a, b]."""
-            if b < a:
-                return -passives(b, a)
-            honest = line.honest_upto(b) - line.honest_upto(a)
-            return honest - bisect.bisect_right(drawn, b) + bisect.bisect_right(drawn, a)
-
-        if h_hat_bar is None:
-            j_hat = passives(h_hat, max(h_hat, line.sorted[-1]))
-        else:
-            j_hat = passives(h_hat, h_hat_bar)
-
         sigma = Fraction(len(line.sybils), self.n)
         tau = self.re_tau
         envelope: Optional[bool] = None
@@ -323,7 +329,7 @@ class _ProxyIndex:
         if h_hat == r:
             j_bound = True
         else:
-            j_bound = passives(h_star, h_hat) <= (sigma - tau) / 2 * self.n
+            j_bound = self.passives(drawn, h_star, h_hat) <= (sigma - tau) / 2 * self.n
 
         fraction = self.fraction
         return ProxyAnalysis(
@@ -337,23 +343,27 @@ class _ProxyIndex:
             h_hat_bar=None if h_hat_bar is None else fraction(h_hat_bar),
             h_hat_under=None if h_hat_under is None else fraction(h_hat_under),
             z=fraction(z),
-            j_hat=abs(j_hat),
+            j_hat=self.j_hat(drawn),
             envelope_holds=envelope,
             range_holds=range_holds,
             j_bound_holds=j_bound,
         )
 
-    def sample(self, n_plus: int, rng: np.random.Generator) -> Tuple[Fraction, ProxyAnalysis]:
-        """One random-participation trial drawn from rng: see sample_and_run."""
+    def trial(self, n_plus: int, rng: np.random.Generator) -> Tuple[List[int], int, int]:
+        """One random-participation trial drawn from rng, as ints: the
+        template indices of the drawn honest voters, the outcome z on the
+        original line and j-hat on the normalized one."""
         h = len(self.up.honest)
         if n_plus > h or n_plus < 1:
             raise SampleTooLarge(f"cannot draw {n_plus} of {h} honest voters")
         chosen = rng.choice(h, size=n_plus, replace=False).tolist()
-        analysis = self.analyze(chosen)
-        if not self.mirrored:
-            return analysis.z, analysis
         z = self.outcome(self.up, [self.up.honest[i] for i in chosen])
-        return self.fraction(z), analysis
+        return chosen, z, self.j_hat(sorted(self.work.honest[i] for i in chosen))
+
+    def sample(self, n_plus: int, rng: np.random.Generator) -> Tuple[Fraction, ProxyAnalysis]:
+        """One random-participation trial drawn from rng: see sample_and_run."""
+        chosen, z, _ = self.trial(n_plus, rng)
+        return self.fraction(z), self.analyze(chosen)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +393,7 @@ def weighted_median(entries: Sequence[Tuple[Rational, Rational]]) -> Fraction:
     scale, xs, cum = rules.mass_index(entries)
     if not xs:
         raise EmptyEntries("weighted median needs positive total weight")
-    return Fraction(xs[rules.least_reaching(len(xs), cum.__getitem__, cum[-1])], scale)
+    return Fraction(rules.locate(xs, cum.__getitem__)(cum[-1]), scale)
 
 
 def md_proxy(profile: Profile, re_tau: Rational, r_unit_weight: bool = False) -> Fraction:

@@ -25,6 +25,7 @@ from .errors import (
     MissingPrivateBallots,
     NonRankingBallot,
 )
+from .guarantees import Setting
 from .population import (
     Ballot, CountTable, DomainSpec, Profile, Rational, VoterClass, as_fraction, ballot_counts
 )
@@ -73,6 +74,16 @@ class Mechanism:
         return f"{name} mode:{self.participation}"
 
 
+def closed_form(mechanism: Mechanism) -> Tuple[Setting, Fraction]:
+    """The closed-form setting and tau the binary oracle compares a
+    mechanism with: a supermajority base at its own threshold in the
+    multi-alternative setting, any other at its RE tau in the arbitrary
+    binary setting."""
+    if mechanism.base == "smj":
+        return Setting.MULTI_ALT_SMJ, mechanism.base_tau
+    return Setting.ARBITRARY_BINARY, mechanism.re_tau
+
+
 @dataclass(frozen=True, eq=False)
 class Tally:
     """Cast vote masses per alternative plus the virtual status-quo mass.
@@ -115,12 +126,15 @@ def tally_ballots(ballots: Iterable[Ballot], q: Rational = 0) -> Tally:
 #
 # Positions are scaled once to a common integer denominator and masses to
 # integers, so every comparison and prefix sum below runs on Python ints;
-# rationals come back only at the output boundary.  A weighted median is
-# then one bisection over the ascending candidate positions for the least
-# one whose inclusive prefix mass reaches a target.
+# rationals come back only at the output boundary.  A weighted median reads
+# its electorate through a locator: least(target) is the least candidate
+# position whose doubled inclusive prefix mass reaches the target.  Over a
+# prefix array that is one bisection (locate); a caller that knows the
+# electorate's order statistics answers it without one.
 
 MassEntry = Tuple[Fraction, Rational]  # (position, mass)
 Prefix = Callable[[int], int]  # candidate index -> inclusive prefix mass
+Locator = Callable[[int], int]  # target -> least position with 2 * prefix >= target
 
 
 def position_scale(positions: Iterable[Fraction]) -> int:
@@ -133,41 +147,41 @@ def scaled(position: Fraction, scale: int) -> int:
     return position.numerator * (scale // position.denominator)
 
 
-def least_reaching(size: int, prefix: Prefix, target: int, lo: int = 0) -> int:
-    """Least candidate index i in [lo, size) with 2 * prefix(i) >= target.
+def locate(xs: Sequence[int], prefix: Prefix) -> Locator:
+    """The locator of ascending candidate positions ``xs`` whose inclusive
+    prefix mass at xs[i] is ``prefix(i)``: one bisection per target.
 
-    ``prefix`` must be nondecreasing and reach the target at ``size - 1``.
+    ``prefix`` must be nondecreasing and reach every target asked for at
+    the last candidate; a target of 0 or less locates the first one.
     """
-    return bisect.bisect_left(
-        range(size), True, lo=lo, key=lambda i: 2 * prefix(i) >= target
-    )
+    indices = range(len(xs))
+    return lambda target: xs[
+        bisect.bisect_left(indices, True, key=lambda i: 2 * prefix(i) >= target)]
 
 
-def median_at(xs: Sequence[int], prefix: Prefix, total: int, r: int) -> int:
+def median_at(least: Locator, total: int, r: int) -> int:
     """Weighted median with the status-quo tie rule on an integer index.
 
-    ``xs`` are ascending candidate positions (a superset of the support),
-    ``prefix(i)`` the mass at positions <= xs[i] and ``total`` the whole
-    mass.  The median interval runs from the least position whose prefix
-    reaches half the total to the least one whose prefix exceeds it; the
-    point of that interval nearest r is returned (for integer masses that
-    is literally one extra unit vote at r settling the tie).
+    ``least`` locates the electorate's prefix masses (see Locator) and
+    ``total`` is its whole mass.  The median interval runs from the least
+    position whose prefix reaches half the total to the least one whose
+    prefix exceeds it; the point of that interval nearest r is returned (for
+    integer masses that is literally one extra unit vote at r settling the
+    tie).
     """
-    lo = least_reaching(len(xs), prefix, total)
-    hi = least_reaching(len(xs), prefix, total + 1, lo)
-    return max(xs[lo], min(r, xs[hi]))
+    return max(least(total), min(r, least(total + 1)))
 
 
-def suppressed_median_at(
-    tau: Fraction, xs: Sequence[int], prefix: Prefix, total: int, r: int
-) -> int:
+def suppressed_median_at(tau: Fraction, least: Locator, total: int, r: int) -> int:
     """Suppress-outer-votes median on an integer index (see median_at).
 
     Masses are rescaled by tau's denominator so that the cut, tau of the
     total, is an integer.  Trimming the cut from the top caps the prefix at
-    what is kept; trimming it from the bottom shifts the prefix down.
+    what is kept, and trimming it from the bottom shifts the prefix down by
+    the cut; on integer prefixes either is the same locator at a shifted
+    target: 2 * den * prefix >= t exactly when 2 * prefix >= ceil(t / den).
     """
-    m = median_at(xs, prefix, total, r)
+    m = median_at(least, total, r)
     if m == r or not tau:  # suppressing no mass keeps the median
         return m
     den = tau.denominator
@@ -175,11 +189,8 @@ def suppressed_median_at(
     kept = den * total - cut
     if kept <= 0:
         return r
-    if m > r:
-        trimmed = lambda i: min(den * prefix(i), kept)
-    else:
-        trimmed = lambda i: max(0, den * prefix(i) - cut)
-    m_reduced = median_at(xs, trimmed, kept, r)
+    shift = 0 if m > r else 2 * cut
+    m_reduced = median_at(lambda t: least(-(-(t + shift) // den)), kept, r)
     if (m_reduced > r) == (m > r) and m_reduced != r:
         return m_reduced
     return r
@@ -310,7 +321,8 @@ def suppress_outer_median(tau: Rational, tally: Tally, domain: DomainSpec) -> Fr
     scale, xs, cum = mass_index([*tally.counts.items(), (r, tally.virtual_mass)])
     if not xs:
         raise EmptyElectorate("median of an empty electorate")
-    m = suppressed_median_at(as_fraction(tau), xs, cum.__getitem__, cum[-1], scaled(r, scale))
+    least = locate(xs, cum.__getitem__)
+    m = suppressed_median_at(as_fraction(tau), least, cum[-1], scaled(r, scale))
     return Fraction(m, scale)
 
 

@@ -29,7 +29,6 @@ at the budget.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -239,21 +238,21 @@ def _interval_ranges(
     outcome means the range is unbounded on that side.
 
     Every split is evaluated on one sorted integer index of the honest
-    positions: the evaluated electorate is a contiguous slice of it plus a
-    sentinel block plus the sybils, so a prefix mass is two bisections.
+    positions: the evaluated electorate is a contiguous slice of it plus
+    the sybils plus a mover block at a sentinel, so the median reads it
+    through its order statistics (_order_locator) with a few int
+    operations and no prefix array.
     """
     r = domain.status_quo_position
     rules._rule(mechanism, domain)  # MechanismMismatch unless a line rule
-    positions = [*honest_counts, *sybil_counts, r]
-    sentinel = max(abs(p) for p in positions) + _BIG_STEP
-    scale = rules.position_scale([*positions, sentinel])
+    scale = rules.position_scale([*honest_counts, *sybil_counts, r])
 
     def voters(counts: Dict[Fraction, int]) -> List[int]:  # scaled, ascending
-        return sorted(rules.scaled(p, scale) for p, k in counts.items() for _ in range(k))
+        return sorted(x for p, k in counts.items() for x in [rules.scaled(p, scale)] * k)
 
     ordered, fixed = voters(honest_counts), voters(sybil_counts)
-    r_x, top = rules.scaled(r, scale), rules.scaled(sentinel, scale)
-    xs = sorted({*ordered, *fixed, r_x, top, -top})
+    r_x = rules.scaled(r, scale)
+    top = max(map(abs, [*ordered, *fixed, r_x])) + _BIG_STEP * scale  # the sentinel
     h = len(ordered)
     # Masses in units of tau's denominator: a voter weighs `unit`, the
     # virtual mass of an electorate of e voters is tau.numerator * e.
@@ -263,19 +262,11 @@ def _interval_ranges(
         """Outcome on ordered[start:stop] plus `movers` voters at `at`."""
         electorate = stop - start + movers + len(fixed)
         q = q_per_voter * electorate
-
-        def prefix(i: int) -> int:
-            x = xs[i]
-            count = min(max(bisect.bisect_right(ordered, x), start), stop) - start
-            count += bisect.bisect_right(fixed, x)
-            if x >= at:
-                count += movers
-            return count * unit + (q if x >= r_x else 0)
-
         total = electorate * unit + q
         if total <= 0:
             raise EmptyElectorate("median of an empty electorate")
-        return rules.suppressed_median_at(mechanism.base_tau, xs, prefix, total, r_x)
+        least = _order_locator(ordered, start, stop, fixed, movers, at, top, r_x, unit, q)
+        return rules.suppressed_median_at(mechanism.base_tau, least, total, r_x)
 
     lo = hi = evaluate(0, h, 0, top)
     for additions in itertools.count():
@@ -284,6 +275,51 @@ def _interval_ranges(
             lo = min(lo, evaluate(0, h - removals, additions, -top))
         yield (None if lo <= -top else Fraction(lo, scale),
                None if hi >= top else Fraction(hi, scale))
+
+
+def _order_locator(
+    ordered: Sequence[int], start: int, stop: int, fixed: Sequence[int],
+    movers: int, at: int, top: int, r_x: int, unit: int, q: int,
+) -> rules.Locator:
+    """rules.locate for the electorate ordered[start:stop] + fixed + movers
+    at `at` (-top or top), each voter weighing `unit`, with the virtual
+    mass q at r_x; the candidates are its positions, r_x and -top and top.
+
+    A target t is reached by the voters alone at the ceil(t / 2unit)-th
+    smallest voter, and with q at the first voter at or above r_x that
+    brings the count to ceil((t - 2q) / 2unit).  The k-th smallest voter is
+    the movers' block or a select over the two ascending lists.
+    """
+    size = stop - start + len(fixed)
+    low = movers if at < 0 else 0  # movers before the lists
+
+    def nth(k: int) -> int:
+        """The k-th smallest voter; -top below the first, top past the last."""
+        k -= low
+        if k <= 0:
+            return -top
+        if k > size:
+            return top
+        # i of the k from the slice and k - i from fixed: the least i whose
+        # next slice voter is not below fixed's (k - i)-th
+        i, i_hi = max(0, k - len(fixed)), min(k, stop - start)
+        while i < i_hi:
+            mid = (i + i_hi) // 2
+            if ordered[start + mid] < fixed[k - mid - 1]:
+                i = mid + 1
+            else:
+                i_hi = mid
+        return max(ordered[start + i - 1] if i else -top, fixed[k - i - 1] if i < k else -top)
+
+    two_unit, two_q = 2 * unit, 2 * q
+
+    def least(target: int) -> int:
+        x = nth(-(-target // two_unit))
+        if not q:
+            return x
+        return min(x, max(r_x, nth(-(-(target - two_q) // two_unit))))
+
+    return least
 
 
 def outcome_range(

@@ -6,6 +6,7 @@ against every proxy, and outcome ranges by rebuilding every modified
 electorate.
 """
 
+import bisect
 import itertools
 from collections import Counter
 from fractions import Fraction
@@ -24,9 +25,10 @@ from realityvote import (
     outcome_range,
     sample_and_run,
 )
+from realityvote import rules
 from realityvote.montecarlo import Experiment, run_proxy_whp
 from realityvote.proxy import ProxyAnalysis, ProxyEntity
-from realityvote.verifier import honest_only
+from realityvote.verifier import _order_locator, honest_only
 
 from conftest import ACTIVE, PASSIVE, SYBIL
 
@@ -206,6 +208,71 @@ def test_outcome_range_matches_voter_level_enumeration(mechanism, prof, budget):
 
 
 # ---------------------------------------------------------------------------
+# The outcome range's order-statistic locator against a prefix bisection.
+
+
+def prefix_locator(ordered, start, stop, fixed, movers, at, top, r_x, unit, q):
+    """rules.locate over every candidate position, with the prefix mass of
+    ordered[start:stop] + fixed + movers at `at` counted by bisection."""
+    xs = sorted({*ordered, *fixed, r_x, top, -top})
+
+    def prefix(i):
+        x = xs[i]
+        count = min(max(bisect.bisect_right(ordered, x), start), stop) - start
+        count += bisect.bisect_right(fixed, x) + (movers if x >= at else 0)
+        return count * unit + (q if x >= r_x else 0)
+
+    return rules.locate(xs, prefix)
+
+
+SCALED = st.integers(-8, 8)
+
+
+@CHECKS
+@given(
+    honest=st.lists(SCALED, min_size=1, max_size=6),
+    sybils=st.lists(SCALED, max_size=4),
+    r_x=SCALED,
+    re_tau=TAUS,
+    base_tau=st.sampled_from([F(0), F(1, 4), F(1, 3), F(1, 2), F(2, 3)]),
+    budget=st.integers(0, 4),
+)
+# sybils all below the honest voters, all above them, one on an honest position
+@example(honest=[3, 5, 7], sybils=[-4, -2], r_x=0, re_tau=F(1, 5), base_tau=F(0), budget=3)
+@example(honest=[1, 2, 4], sybils=[6, 8], r_x=3, re_tau=F(1, 3), base_tau=F(0), budget=3)
+@example(honest=[2, 5, 5], sybils=[5], r_x=0, re_tau=F(1, 4), base_tau=F(1, 4), budget=2)
+# r on a voter; one honest voter
+@example(honest=[1, 3, 6], sybils=[], r_x=3, re_tau=F(1, 2), base_tau=F(0), budget=3)
+@example(honest=[4], sybils=[-1, 7], r_x=0, re_tau=F(1, 5), base_tau=F(1, 3), budget=2)
+# som trimming from the top (median above r) and from the bottom (below r)
+@example(honest=[4, 6, 8, 8], sybils=[7], r_x=0, re_tau=F(1, 5), base_tau=F(1, 3), budget=2)
+@example(honest=[-8, -6, -4, -4], sybils=[-7], r_x=0, re_tau=F(1, 5), base_tau=F(1, 3),
+         budget=2)
+def test_order_locator_matches_prefix_bisection(honest, sybils, r_x, re_tau, base_tau, budget):
+    # Every split the outcome range evaluates, at every target a median can
+    # ask for (0 included: the first candidate), and the som median read
+    # through either locator.
+    ordered, fixed = sorted(honest), sorted(sybils)
+    top = 8 + SENTINEL_STEP
+    h = len(ordered)
+    unit, per_voter = re_tau.denominator, re_tau.numerator
+    splits = [(0, h, 0, top)]
+    for additions in range(budget + 1):
+        for removals in range(min(additions, h) + 1):
+            splits += [(removals, h, additions, top), (0, h - removals, additions, -top)]
+    for start, stop, movers, at in splits:
+        electorate = stop - start + movers + len(fixed)
+        q = per_voter * electorate
+        total = electorate * unit + q
+        args = (ordered, start, stop, fixed, movers, at, top, r_x, unit, q)
+        got, want = _order_locator(*args), prefix_locator(*args)
+        assert got(0) == -top
+        assert [got(t) for t in range(2 * total + 1)] == [want(t) for t in range(2 * total + 1)]
+        assert rules.suppressed_median_at(base_tau, got, total, r_x) == (
+            rules.suppressed_median_at(base_tau, want, total, r_x))
+
+
+# ---------------------------------------------------------------------------
 # Reference delegation: every passive voter against every proxy.
 
 
@@ -344,6 +411,10 @@ def test_sample_and_run_matches_reference_trial(prof, tau, share, seed):
     tau=TAUS,
     c=st.sampled_from([F(1, 20), F(1, 3)]),
 )
+# A mirrored template (h* = 1 < r = 4), and one where j-hat is c * h = 1
+# exactly in 9 of the 12 trials.
+@example(prof=profile(4, active=(0, 1, 5), sybil=(0,)), tau=F(1, 5), c=F(1, 20))
+@example(prof=profile(1, active=(2, 5, 5, 7), sybil=(3, -2)), tau=F(0), c=F(1, 4))
 def test_run_proxy_whp_counts_match_reference_trials(prof, tau, c):
     exp = Experiment(
         profile=prof,

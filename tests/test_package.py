@@ -281,10 +281,11 @@ def test_a_monte_carlo_call_builds_one_philox(run, trials, monkeypatch):
     assert len(built) <= 1
 
 
-@pytest.mark.parametrize("module", ["verifier", "montecarlo"])
+@pytest.mark.parametrize("module", ["verifier", "montecarlo", "cli"])
 def test_only_rules_names_a_base_rule(module):
-    # How a base rule evaluates and which ballots it takes is decided in
-    # rules (its rule table, RANKING_RULES); the oracle compares no
+    # How a base rule evaluates, which ballots it takes and which closed
+    # form it answers to is decided in rules (its rule table, RANKING_RULES,
+    # closed_form); neither the oracle nor the command line compares a
     # mechanism's base with a rule name or a tuple of rule names.
     def is_names(node):
         if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
