@@ -13,9 +13,9 @@ import math
 import os
 import sys
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from . import formats, guarantees, montecarlo, proxy, rules, verifier
+from . import formats, guarantees, proxy, rules, verifier
 from .errors import (
     BudgetExceeded,
     InvalidBallot,
@@ -26,6 +26,9 @@ from .errors import (
 from .guarantees import Setting
 from .population import format_rational
 from .rules import Mechanism
+
+if TYPE_CHECKING:
+    from .montecarlo import TrialStats
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -187,7 +190,7 @@ def cmd_oracle(args) -> int:
     return EXIT_MISMATCH if mismatch else EXIT_OK
 
 
-def _print_stats(label: str, stats: montecarlo.TrialStats) -> None:
+def _print_stats(label: str, stats: TrialStats) -> None:
     print(f"{label}:")
     print(f"  trials: {stats.trials}")
     print(f"  violations: {stats.violation_count}")
@@ -200,6 +203,8 @@ def _print_stats(label: str, stats: montecarlo.TrialStats) -> None:
 
 
 def cmd_simulate(args) -> int:
+    from . import montecarlo  # the one command that needs numpy
+
     template = _load_profile(args.template)
     rows = []
     n_grid = (

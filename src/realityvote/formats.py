@@ -156,7 +156,7 @@ def profile_to_json(profile: Profile) -> str:
 def profile_from_json(text: str) -> Profile:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
         raise InvalidBallot(f"profile file is not valid JSON: {exc}") from None
     ok = isinstance(doc, dict) and isinstance(doc.get("domain"), dict)
     ok = ok and isinstance(doc.get("voters"), list)

@@ -13,6 +13,11 @@ trial indices at once) and re-keys one generator per trial
 (``_trial_generators``), which then draws exactly what a fresh one would.
 A spawn key of 2**32 or more takes a second 32-bit word, so a run has at
 most 2**32 trials.
+
+This is the one module that imports numpy and ``numpy.random`` when it
+loads; ``import realityvote`` does not import it.  Importing the generator
+classes by name loads ``numpy.random`` with the module, not at a run's
+first draw.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from fractions import Fraction
 from typing import Iterator, Optional, Tuple
 
 import numpy as np
+from numpy.random import Generator, Philox, SeedSequence
 
 from . import proxy, rules, verifier
 from .errors import DegenerateParams, MechanismMismatch, SampleTooLarge
@@ -131,7 +137,7 @@ def _trial_keys(seed: int, trials: int) -> Iterator[Tuple[int, int]]:
     constant that the seed's max(4, w) words (w of them, seed 0 counting as
     one) leave behind.  Then generate_state hashes the 4 words out.  Both
     steps run on uint64 arrays of trial indices masked to 32 bits."""
-    pool = np.random.SeedSequence(seed).pool.astype(np.uint64)  # checks the seed
+    pool = SeedSequence(seed).pool.astype(np.uint64)  # checks the seed
     words = max(1, -(-int(seed).bit_length() // 32))
     spawn_const = _INIT_A * pow(_MULT_A, 4 * max(4, words), 1 << 32) & _MASK
     mask, shift, high = np.uint64(_MASK), np.uint64(_SHIFT), np.uint64(32)
@@ -155,15 +161,15 @@ def _trial_keys(seed: int, trials: int) -> Iterator[Tuple[int, int]]:
         yield from zip((out[0] | out[1] << high).tolist(), (out[2] | out[3] << high).tolist())
 
 
-def _trial_generators(seed: int, trials: int) -> Iterator[np.random.Generator]:
+def _trial_generators(seed: int, trials: int) -> Iterator[Generator]:
     """Trial t's generator, drawing exactly as a fresh
     ``Generator(Philox(SeedSequence(seed, spawn_key=(t,))))`` does: one
     Philox put, before each trial, in the state a fresh one starts in (the
     trial's key, counter zero, an empty buffer, no buffered half-word).
     Every trial gets the same object, so draw trial t's sample before asking
     for trial t + 1."""
-    bits = np.random.Philox(seed)  # its own key is replaced before the first draw
-    rng = np.random.Generator(bits)
+    bits = Philox(seed)  # its own key is replaced before the first draw
+    rng = Generator(bits)
     stream = {"counter": (0, 0, 0, 0), "key": None}
     state = {
         "bit_generator": "Philox", "state": stream, "buffer": (0, 0, 0, 0),

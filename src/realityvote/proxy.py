@@ -13,6 +13,10 @@ A Monte Carlo trial (``_ProxyIndex.trial``) builds only the outcome z on
 the original line and j-hat on the normalized one, both ints: O(n+ log n)
 integer work for n+ drawn actives, with no analysis and no Fraction.
 Rationals appear only in the returned values.
+
+Only ``sample_and_run`` builds a generator, so only it imports numpy;
+delegation, the median and the analysis run without it.  ``montecarlo``
+hands its own generators to ``_ProxyIndex.trial``.
 """
 
 from __future__ import annotations
@@ -22,9 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from . import rules
 from .errors import (
@@ -35,7 +37,8 @@ from .errors import (
 )
 from .population import Profile, Rational, VoterClass, as_fraction
 
-SeedLike = Union[int, np.random.SeedSequence]
+if TYPE_CHECKING:
+    from numpy.random import Generator, SeedSequence
 
 
 @dataclass(frozen=True)
@@ -349,7 +352,7 @@ class _ProxyIndex:
             j_bound_holds=j_bound,
         )
 
-    def trial(self, n_plus: int, rng: np.random.Generator) -> Tuple[List[int], int, int]:
+    def trial(self, n_plus: int, rng: Generator) -> Tuple[List[int], int, int]:
         """One random-participation trial drawn from rng, as ints: the
         template indices of the drawn honest voters, the outcome z on the
         original line and j-hat on the normalized one."""
@@ -360,7 +363,7 @@ class _ProxyIndex:
         z = self.outcome(self.up, [self.up.honest[i] for i in chosen])
         return chosen, z, self.j_hat(sorted(self.work.honest[i] for i in chosen))
 
-    def sample(self, n_plus: int, rng: np.random.Generator) -> Tuple[Fraction, ProxyAnalysis]:
+    def sample(self, n_plus: int, rng: Generator) -> Tuple[Fraction, ProxyAnalysis]:
         """One random-participation trial drawn from rng: see sample_and_run."""
         chosen, z, _ = self.trial(n_plus, rng)
         return self.fraction(z), self.analyze(chosen)
@@ -437,7 +440,7 @@ def sample_and_run(
     template: Profile,
     n_plus: int,
     re_tau: Rational,
-    seed: SeedLike,
+    seed: Union[int, SeedSequence],
 ) -> Tuple[Fraction, ProxyAnalysis]:
     """Draw the active honest set uniformly without replacement and run the
     proxy mechanism.
@@ -447,5 +450,6 @@ def sample_and_run(
     given the seed.  Returns the outcome on the original orientation plus
     the normalized-instance analysis.
     """
-    rng = np.random.Generator(np.random.Philox(seed))
-    return _ProxyIndex(template, re_tau).sample(n_plus, rng)
+    from numpy.random import Generator, Philox
+
+    return _ProxyIndex(template, re_tau).sample(n_plus, Generator(Philox(seed)))

@@ -430,6 +430,23 @@ class TestEval:
         assert main(["eval", "--profile", str(path), "--mechanism", "mj"]) == 2
         assert capsys.readouterr().err.startswith(f"error (input): {message}")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--mechanism", "mj", "--profile"],
+            ["simulate", "--kind", "whp", "--trials", "1", "--seed", "1", "--template"],
+        ],
+        ids=["eval", "simulate"],
+    )
+    def test_deeply_nested_profile_is_input_error(self, argv, tmp_path, capsys):
+        # json.loads raises RecursionError, not JSONDecodeError, past its depth.
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 200_000)
+        assert main([*argv, str(path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error (input): profile file is not valid JSON"
+        )
+
     def test_domain_mismatch_exit(self, partial_pop_file):
         assert main(["eval", "--profile", partial_pop_file, "--mechanism", "md"]) == 3
 

@@ -1,8 +1,12 @@
 import ast
 import dataclasses
 import importlib
+import json
+import os
 import pkgutil
 import runpy
+import subprocess
+import sys
 import typing
 from fractions import Fraction
 from pathlib import Path
@@ -12,6 +16,7 @@ import pytest
 
 import realityvote
 from realityvote import Mechanism, montecarlo
+from realityvote.formats import profile_to_json
 
 from conftest import binary_profile, interval_profile
 
@@ -277,6 +282,7 @@ def test_a_monte_carlo_call_builds_one_philox(run, trials, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(np.random, "Philox", counting)
+    monkeypatch.setattr(montecarlo, "Philox", counting)  # imported by name
     assert run(trials).trials == trials
     assert len(built) <= 1
 
@@ -327,3 +333,67 @@ def test_a_median_rule_runs_one_median_per_evaluation(monkeypatch):
     reach = verifier.outcome_range(md, profile, Fraction(1, 2))
     assert (reach.budget, reach.lo, reach.hi) == (3, 0, 9)
     assert len(calls) > 20 and calls == ["evaluate", "median"] * (len(calls) // 2)
+
+
+def _fresh_interpreter(code, *args):
+    """Run code in a new interpreter that imports realityvote from where
+    this session does; return the JSON its last output line holds."""
+    env = dict(os.environ, PYTHONPATH=str(Path(realityvote.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True
+    )
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+_LEAN_COMMANDS = """
+import json, sys
+from realityvote import cli
+binary, interval = sys.argv[1:]
+codes = [cli.main(argv) for argv in (
+    ["eval", "--profile", binary, "--mechanism", "mj"],
+    ["eval", "--profile", interval, "--mechanism", "md re:1/5 mode:proxy"],
+    ["frontier", "--setting", "arbitrary", "--sigma-grid", "0,2/5", "--mu-grid", "0",
+     "--tau-grid", "0,1/5", "--out", "-"],
+    ["oracle", "--shape", "5,2/5,0", "--mechanism", "mj", "--base", "mj"],
+)]
+print(json.dumps([codes, "numpy" in sys.modules]))
+"""
+
+
+def test_commands_but_simulate_load_no_numpy(tmp_path):
+    # Only the random-participation experiments draw; importing the package
+    # and evaluating, sweeping the frontier or running the oracle do not
+    # import numpy.
+    binary, interval = tmp_path / "binary.json", tmp_path / "interval.json"
+    binary.write_text(profile_to_json(binary_profile(active="rrp", passive="r", sybil="pp")))
+    interval.write_text(profile_to_json(
+        interval_profile(0, active=(3, 5, 8, 9), passive=(-2, 7), sybil=(12,))
+    ))
+    codes, numpy_loaded = _fresh_interpreter(_LEAN_COMMANDS, str(binary), str(interval))
+    assert codes == [0, 0, 0, 0]
+    assert not numpy_loaded
+
+
+_DRAWS = """
+import json, sys
+from fractions import Fraction
+from realityvote import DomainSpec, build_profile, proxy
+from realityvote.population import VoterClass
+lean = "numpy" not in sys.modules
+voters = [(VoterClass.HONEST_ACTIVE, Fraction(x)) for x in (-2, 3, 5, 7, 8, 9)]
+voters.append((VoterClass.SYBIL, Fraction(12)))
+template = build_profile(DomainSpec.interval(Fraction(0)), voters)
+drawn = proxy.sample_and_run(template, 3, Fraction(1, 5), 7)
+from numpy.random import SeedSequence
+same = drawn == proxy.sample_and_run(template, 3, Fraction(1, 5), SeedSequence(7))
+print(json.dumps([lean, same]))
+"""
+
+
+def test_only_drawing_imports_numpy():
+    # sample_and_run imports numpy when it draws, and an int seed names the
+    # same stream as its SeedSequence.  montecarlo loads numpy.random with
+    # itself, so a run's first draw does not.
+    assert _fresh_interpreter(_DRAWS) == [True, True]
+    code = "import json, sys, realityvote.montecarlo; print(json.dumps('numpy.random' in sys.modules))"
+    assert _fresh_interpreter(code)
