@@ -171,23 +171,19 @@ def cmd_oracle(args) -> int:
             mechanism, args.shape, args.target or "p", max_units=args.max_units
         )
         units = verifier.visible_honest(mechanism, args.shape)
-        adjusted_units = int(threshold * units) + 1  # least multiple strictly above
-        adjusted = Fraction(adjusted_units, units)
-        print(f"finite beta: {format_rational(finite)}")
-        print(f"formula threshold (open): {format_rational(threshold)}")
-        print(f"granularity-adjusted: {format_rational(adjusted)}")
-        mismatch = finite != adjusted
+        adjusted = Fraction(int(threshold * units) + 1, units)  # least multiple strictly above
+        labels = ("finite beta", "formula threshold (open)")
     else:
         finite = verifier.min_alpha(mechanism, base, args.shape)
-        t = guarantees.safety_threshold(setting, sigma, mu, tau)
+        threshold = guarantees.safety_threshold(setting, sigma, mu, tau)
         h = n - int(sigma * n)
-        adjusted = max(Fraction(0), Fraction(math.ceil(t * h), h))
-        print(f"finite min alpha: {format_rational(finite)}")
-        print(f"formula threshold: {format_rational(t)}")
-        print(f"granularity-adjusted: {format_rational(adjusted)}")
-        mismatch = finite != adjusted
-    print(f"match: {'no' if mismatch else 'yes'}")
-    return EXIT_MISMATCH if mismatch else EXIT_OK
+        adjusted = max(Fraction(0), Fraction(math.ceil(threshold * h), h))
+        labels = ("finite min alpha", "formula threshold")
+    for label, value in zip((*labels, "granularity-adjusted"), (finite, threshold, adjusted)):
+        print(f"{label}: {format_rational(value)}")
+    match = finite == adjusted
+    print(f"match: {'yes' if match else 'no'}")
+    return EXIT_OK if match else EXIT_MISMATCH
 
 
 def _print_stats(label: str, stats: TrialStats) -> None:

@@ -196,6 +196,7 @@ def run_safety_whp(exp: Experiment) -> TrialStats:
     compared against the Hoeffding-style tail bound."""
     if exp.profile.domain.kind != "binary":
         raise MechanismMismatch("the w.h.p. safety experiment is binary")
+    verifier._check_binary(exp.mechanism, exp.profile.domain)  # before any draw
     domain, counts = exp.profile.domain, exp.profile.counts
     honest_p = sum(counts[c].get(domain.proposal, 0) for c in HONEST_CLASSES)
     sybil_p = counts[VoterClass.SYBIL].get(domain.proposal, 0)
@@ -240,6 +241,9 @@ def run_proxy_whp(exp: Experiment, c: Rational) -> TrialStats:
         raise DegenerateParams("c must lie strictly between 0 and 1")
     if exp.profile.domain.kind != "interval":
         raise MechanismMismatch("proxy experiments run on the interval domain")
+    rules._check(exp.mechanism, exp.profile.domain)
+    if exp.mechanism.participation != "proxy":
+        raise MechanismMismatch("proxy experiments need proxy participation")
     sigma = exp.profile.sigma
     tau = exp.mechanism.re_tau
     alpha_prime = c + safety_threshold(Setting.PROXY_INTERVAL, sigma, 0, tau)

@@ -11,8 +11,9 @@ Every function here runs on one sorted integer index of the population
 sorted once, so a delegation segment's follower count is two bisections.
 A Monte Carlo trial (``_ProxyIndex.trial``) builds only the outcome z on
 the original line and j-hat on the normalized one, both ints: O(n+ log n)
-integer work for n+ drawn actives, with no analysis and no Fraction.
-Rationals appear only in the returned values.
+integer work for n+ drawn actives, with no analysis, no Fraction and no
+size check (each run checks n+ once).  Rationals appear only in the
+returned values.
 
 Only ``sample_and_run`` builds a generator, so only it imports numpy;
 delegation, the median and the analysis run without it.  ``montecarlo``
@@ -353,20 +354,12 @@ class _ProxyIndex:
         )
 
     def trial(self, n_plus: int, rng: Generator) -> Tuple[List[int], int, int]:
-        """One random-participation trial drawn from rng, as ints: the
-        template indices of the drawn honest voters, the outcome z on the
-        original line and j-hat on the normalized one."""
-        h = len(self.up.honest)
-        if n_plus > h or n_plus < 1:
-            raise SampleTooLarge(f"cannot draw {n_plus} of {h} honest voters")
-        chosen = rng.choice(h, size=n_plus, replace=False).tolist()
+        """One random-participation trial drawn from rng, as ints (the caller
+        checks n_plus): the template indices of the drawn honest voters, the
+        outcome z on the original line and j-hat on the normalized one."""
+        chosen = rng.choice(len(self.up.honest), size=n_plus, replace=False).tolist()
         z = self.outcome(self.up, [self.up.honest[i] for i in chosen])
         return chosen, z, self.j_hat(sorted(self.work.honest[i] for i in chosen))
-
-    def sample(self, n_plus: int, rng: Generator) -> Tuple[Fraction, ProxyAnalysis]:
-        """One random-participation trial drawn from rng: see sample_and_run."""
-        chosen, z, _ = self.trial(n_plus, rng)
-        return self.fraction(z), self.analyze(chosen)
 
 
 # ---------------------------------------------------------------------------
@@ -452,4 +445,9 @@ def sample_and_run(
     """
     from numpy.random import Generator, Philox
 
-    return _ProxyIndex(template, re_tau).sample(n_plus, Generator(Philox(seed)))
+    index, rng = _ProxyIndex(template, re_tau), Generator(Philox(seed))
+    h = len(index.up.honest)
+    if n_plus > h or n_plus < 1:
+        raise SampleTooLarge(f"cannot draw {n_plus} of {h} honest voters")
+    chosen, z, _ = index.trial(n_plus, rng)
+    return index.fraction(z), index.analyze(chosen)

@@ -444,29 +444,28 @@ def _binary_ballots(domain: DomainSpec, on_p: int, size: int) -> Dict[Ballot, in
     return {b: k for b, k in ((domain.proposal, on_p), (domain.status_quo, size - on_p)) if k}
 
 
-def _binary_counts(
+def _binary_profile(
     domain: DomainSpec, k_active_p: int, h_plus: int, j_passive_p: int, h_minus: int,
     s_p: int, s: int,
-) -> CountTable:
-    """The count table of k of h_plus honest actives, j of h_minus passives'
-    private votes and s_p of s sybils on the proposal, the rest on r."""
+) -> Profile:
+    """k of h_plus honest actives, j of h_minus passives' private votes and
+    s_p of s sybils on the proposal, the rest on r: class by class, the
+    proposal first."""
     classes = zip(VoterClass, (k_active_p, j_passive_p, s_p), (h_plus, h_minus, s))
-    return {c: _binary_ballots(domain, on_p, size) for c, on_p, size in classes}
+    return build_profile(domain, [
+        (cls, ballot) for cls, on_p, size in classes
+        for ballot, k in _binary_ballots(domain, on_p, size).items() for _ in range(k)])
 
 
-def _binary_profile(domain: DomainSpec, *counts: int) -> Profile:
-    """_binary_counts as a voter list: class by class, the proposal first."""
-    voters = []
-    for cls, by_ballot in _binary_counts(domain, *counts).items():
-        for ballot, k in by_ballot.items():
-            voters += [(cls, ballot)] * k
-    return build_profile(domain, voters)
+def _check_binary(mechanism: Mechanism, domain: DomainSpec) -> None:
+    """MechanismMismatch unless _binary_outcome can run the mechanism."""
+    if mechanism.participation == "proxy":  # it reads voter order
+        raise MechanismMismatch("proxy participation is median-on-interval only")
+    rules._rule(mechanism, domain)
 
 
 def _binary_outcome(mechanism: Mechanism, domain: DomainSpec, on_p: int, voters: int) -> Ballot:
-    """rules.apply on that many visible binary voters, on_p of them on p."""
-    if mechanism.participation == "proxy":  # it reads voter order
-        raise MechanismMismatch("proxy participation is median-on-interval only")
+    """rules.apply on that many visible binary voters, on_p on p, after _check_binary."""
     tally = rules._cast_tally(mechanism, _binary_ballots(domain, on_p, voters), voters)
     return rules.evaluate_tally(mechanism, tally, domain)
 
@@ -488,9 +487,10 @@ def min_alpha(
     domain = DomainSpec.binary()
     n, s, hm = _shape_counts(shape)
     h_plus, h = n - s - hm, n - s
-    # Check the base up front: a walk whose outcomes are all r never asks it.
+    # Check the base up front (an all-r walk never asks it), then the mechanism.
     _split(base, dict.fromkeys(VoterClass, {}))
     rules._rule(base, domain)
+    _check_binary(mechanism, domain)
     mech_sees_passive, base_sees_passive = (
         VoterClass.HONEST_PASSIVE in rules.visible_classes(m) for m in (mechanism, base))
     electorate = n if mech_sees_passive else h_plus + s
@@ -528,6 +528,7 @@ def _live_cost(
     Condorcet rules).  On the line both ends of the range are nondecreasing
     in each sybil's position, so every sybil far below (lowest top end) or
     far above (highest bottom end) blocks whatever any placement blocks."""
+    _split(mechanism, dict.fromkeys(VoterClass, {}))  # refuses proxy participation
     domain = domain or DomainSpec.binary()
     _, s, _ = _shape_counts(shape)
     target = domain.validate_ballot(target, allow_ranking=False)

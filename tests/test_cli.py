@@ -735,10 +735,42 @@ class TestOracle:
         err = capsys.readouterr().err
         assert err == "error (input): shape needs at least one active honest voter\n"
 
-    def test_proxy_mechanism_on_shapes_is_a_mismatch(self):
-        # The binary worst case evaluates count tables, which carry no voter
-        # order for proxy delegation.
-        assert main(["oracle", "--shape", "5,2/5,0", "--mechanism", "mj mode:proxy"]) == 3
+    @pytest.mark.parametrize("flags", [[], ["--liveness"]], ids=["safety", "liveness"])
+    def test_proxy_mechanism_on_shapes_is_a_mismatch(self, flags):
+        # The binary worst case and the liveness search evaluate counts,
+        # which carry no voter order for proxy delegation.
+        argv = ["oracle", "--shape", "5,2/5,0", "--mechanism", "mj mode:proxy", *flags]
+        assert main(argv) == 3
+
+    @pytest.mark.parametrize(
+        "argv, code, report",
+        [
+            pytest.param(
+                ["--shape", "5,2/5,0", "--mechanism", "mj", "--base", "mj"], 0,
+                ["finite min alpha: 1/3", "formula threshold: 1/3",
+                 "granularity-adjusted: 1/3", "match: yes"],
+                id="safety match"),
+            pytest.param(
+                ["--shape", "5,1/5,1/5", "--mechanism", "mj re:1/5"], 1,
+                ["finite min alpha: 0", "formula threshold: 3/20",
+                 "granularity-adjusted: 1/4", "match: no"],
+                id="safety mismatch"),
+            pytest.param(
+                ["--shape", "5,1/5,0", "--mechanism", "mj", "--liveness"], 0,
+                ["finite beta: 3/4", "formula threshold (open): 5/8",
+                 "granularity-adjusted: 3/4", "match: yes"],
+                id="liveness match"),
+            pytest.param(
+                ["--shape", "5,2/5,2/5", "--mechanism", "smj:2/5 mode:active", "--liveness",
+                 "--target", "p"], 1,
+                ["finite beta: 19", "formula threshold (open): 27/10",
+                 "granularity-adjusted: 3", "match: no"],
+                id="liveness mismatch"),
+        ],
+    )
+    def test_whole_report(self, argv, code, report, capsys):
+        assert main(["oracle", *argv]) == code
+        assert capsys.readouterr().out.splitlines() == report
 
 
 class TestSimulate:

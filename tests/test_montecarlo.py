@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from realityvote import Mechanism, is_safe, montecarlo, proxy, verifier
-from realityvote.errors import DegenerateParams, SampleTooLarge
+from realityvote.errors import DegenerateParams, MechanismMismatch, SampleTooLarge
 from realityvote.montecarlo import (
     Experiment,
     _supporter_draws,
@@ -125,6 +125,24 @@ class TestSafetyWhp:
         assert 1 < len(draws) <= 7
         assert len(set(draws)) == len(draws)
 
+    @pytest.mark.parametrize(
+        "mechanism, message",
+        [pytest.param(mechanism, message, id=mechanism.describe()) for mechanism, message in [
+            (Mechanism("mj", participation="proxy"), "median-on-interval only"),
+            (Mechanism("md", participation="proxy"), "median-on-interval only"),
+            (Mechanism("pl", participation="active"), "rule 'pl' does not apply"),
+        ]],
+    )
+    def test_mechanism_is_checked_before_any_draw(self, mechanism, message, monkeypatch):
+        # _binary_outcome's checks (proxy participation, then the rule's
+        # domain) run once up front, not at the first distinct draw.
+        def no_draw(*args):
+            raise AssertionError("a draw started")
+
+        monkeypatch.setattr(montecarlo, "_supporter_draws", no_draw)
+        with pytest.raises(MechanismMismatch, match=message):
+            run_safety_whp(whp_experiment(mechanism=mechanism))
+
     def test_tightness_template_violates_often(self):
         # Below the random-participation threshold the adversarial template
         # (all sybils on the proposal, honest gap inside the slack) breaks
@@ -174,6 +192,27 @@ class TestProxyWhp:
         mechanism = Mechanism("md", participation="proxy")
         run_proxy_whp(proxy_experiment(trials=5, mechanism=mechanism), F(1, 20))
         assert gammas == [F(1, 20) + F(1, 5) / (2 * F(4, 5))]
+
+    @pytest.mark.parametrize(
+        "mechanism, message",
+        [pytest.param(mechanism, message, id=mechanism.describe()) for mechanism, message in [
+            (Mechanism("md", re_tau=F(1, 5), participation="active"), "need proxy participation"),
+            (Mechanism("som", base_tau=F(1, 3), re_tau=F(1, 5)), "need proxy participation"),
+            (Mechanism("som", base_tau=F(1, 3), participation="proxy"), "median-on-interval only"),
+            (Mechanism("mj", participation="proxy"), "rule 'mj' does not apply"),
+        ]],
+    )
+    def test_mechanism_is_checked_before_any_draw(self, mechanism, message, monkeypatch):
+        # The trials run proxy delegation whatever the experiment names, so
+        # a mechanism they would not run is refused before the safe region
+        # and before any draw, not counted as md mode:proxy.
+        def never(*args):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(verifier, "outcome_range", never)
+        monkeypatch.setattr(montecarlo, "_trial_generators", never)
+        with pytest.raises(MechanismMismatch, match=message):
+            run_proxy_whp(proxy_experiment(mechanism=mechanism), F(1, 20))
 
     def test_c_must_be_interior(self):
         with pytest.raises(DegenerateParams):

@@ -39,8 +39,8 @@ from realityvote.guarantees import Setting, liveness_threshold, safety_threshold
 from realityvote.population import Profile, VoterClass
 from realityvote.verifier import (
     AdversarialWitness,
-    _binary_counts,
     _binary_outcome,
+    _binary_profile,
     _least_safe_alpha,
     honest_only,
 )
@@ -168,6 +168,22 @@ class TestIsLive:
             MJ_ACTIVE, shape, "p"
         )
 
+    @pytest.mark.parametrize(
+        "base, domain, target",
+        [("mj", DomainSpec.binary(), "p"), ("md", DomainSpec.interval(0), F(7))],
+        ids=["binary", "line"],
+    )
+    def test_proxy_mechanisms_are_refused(self, base, domain, target):
+        # A proxy outcome reads voter order, which the worst-case counts do
+        # not carry: liveness refuses it as outcome_range does, before any
+        # search, rather than answering for full participation.
+        mechanism = Mechanism(base, re_tau=F(1, 5), participation="proxy")
+        shape = (10, F(1, 5), F(1, 5))
+        with pytest.raises(MechanismMismatch, match="not enumerable"):
+            smallest_live_beta(mechanism, shape, target, domain)
+        with pytest.raises(MechanismMismatch, match="not enumerable"):
+            is_live(mechanism, shape, target, 1, domain)
+
 
 # min_alpha's differential test: the mechanisms walked and the bases asked.
 _WALK_MECHANISMS = [
@@ -187,7 +203,7 @@ def walk_every_population(mechanism, base, n, s, hm):
     hp, h = n - s - hm, n - s
     worst = F(0)
     for k, j, s_p in itertools.product(range(hp + 1), range(hm + 1), range(s + 1)):
-        counts = _binary_counts(domain, k, hp, j, hm, s_p, s)
+        counts = _binary_profile(domain, k, hp, j, hm, s_p, s).counts
         z = rules.evaluate_tally(mechanism, rules.build_tally(mechanism, counts), domain)
         honest, _ = verifier._split(base, {**counts, SYBIL: {}})
         worst = max(worst, F(_least_safe_alpha(base, domain, z, honest, h), h))
@@ -282,7 +298,7 @@ class TestMinAlpha:
                             passive="p" * j + "r" * (hm - j),
                             sybil="p" * s_p + "r" * (s - s_p),
                         )
-                        counts = _binary_counts(prof.domain, k, hp, j, hm, s_p, s)
+                        counts = _binary_profile(prof.domain, k, hp, j, hm, s_p, s).counts
                         assert counts == prof.counts
                         worst = max(worst, min_alpha_for_profile(mech, base, prof))
                     assert min_alpha(mech, base, (n, F(s, n), F(hm, n))) == worst, (n, s, hm)
@@ -684,7 +700,7 @@ def test_int_tally_matches_count_table_tally(mech, sizes, data):
     hp, hm, s = sizes
     k, j, s_p = (data.draw(st.integers(0, size)) for size in sizes)
     domain = DomainSpec.binary()
-    table = rules.build_tally(mech, _binary_counts(domain, k, hp, j, hm, s_p, s))
+    table = rules.build_tally(mech, _binary_profile(domain, k, hp, j, hm, s_p, s).counts)
     if mech.participation == "full":
         seen, electorate = k + j + s_p, hp + hm + s
     else:
