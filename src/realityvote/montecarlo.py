@@ -32,9 +32,17 @@ import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
 from . import proxy, rules, verifier
-from .errors import DegenerateParams, MechanismMismatch, SampleTooLarge
+from .errors import DegenerateParams, MechanismMismatch
 from .guarantees import Setting, safety_threshold
-from .population import HONEST_CLASSES, Profile, Rational, VoterClass, as_fraction, ballot_counts
+from .population import (
+    HONEST_CLASSES,
+    Profile,
+    Rational,
+    VoterClass,
+    as_fraction,
+    ballot_counts,
+    check_sample_size,
+)
 from .rules import Mechanism
 
 
@@ -65,8 +73,7 @@ class Experiment:
             raise DegenerateParams("the base rule reads every honest ballot")
         if not self.profile.has_full_honest_ballots():
             raise DegenerateParams("template needs every honest ballot")
-        if self.n_plus > self.profile.n_honest or self.n_plus < 1:
-            raise SampleTooLarge("active sample must fit inside the honest set")
+        check_sample_size(self.n_plus, self.profile.n_honest)
 
 
 @dataclass(frozen=True)
@@ -289,8 +296,7 @@ def hoeffding_diagnostic(
     _check_trials(trials)
     honest_p = ballot_counts(template.counts, HONEST_CLASSES).get(template.domain.proposal, 0)
     honest = template.n_honest
-    if n_plus > honest or n_plus < 1:
-        raise SampleTooLarge("active sample must fit inside the honest set")
+    check_sample_size(n_plus, honest)
     psi = Fraction(honest_p, honest)
     cutoff = math.ceil((psi + epsilon) * n_plus)  # an int draw reaches c iff it reaches ceil(c)
 

@@ -22,6 +22,7 @@ from .errors import (
     MixedBallotKind,
     NoActiveHonest,
     PassiveSybil,
+    SampleTooLarge,
     SybilWithoutBallot,
 )
 
@@ -255,6 +256,14 @@ class Profile:
     def has_full_honest_ballots(self) -> bool:
         """Does every passive voter carry a private ballot (actives always do)?"""
         return None not in self.counts[VoterClass.HONEST_PASSIVE]
+
+
+def check_sample_size(n_plus: int, honest: int) -> None:
+    """SampleTooLarge unless an active sample of n_plus voters can be drawn
+    from the honest voters: at least one and at most all of them."""
+    if not 1 <= n_plus <= honest:
+        raise SampleTooLarge(f"active sample must fit inside the honest set: "
+                             f"{n_plus} is not between 1 and {honest}")
 
 
 def _counted_profile(domain: DomainSpec, voters: Tuple[Voter, ...], counts: CountTable) -> Profile:

@@ -34,9 +34,8 @@ from .errors import (
     EmptyEntries,
     MissingPrivateBallots,
     NoProxyAvailable,
-    SampleTooLarge,
 )
-from .population import Profile, Rational, VoterClass, as_fraction
+from .population import Profile, Rational, VoterClass, as_fraction, check_sample_size
 
 if TYPE_CHECKING:
     from numpy.random import Generator, SeedSequence
@@ -446,8 +445,6 @@ def sample_and_run(
     from numpy.random import Generator, Philox
 
     index, rng = _ProxyIndex(template, re_tau), Generator(Philox(seed))
-    h = len(index.up.honest)
-    if n_plus > h or n_plus < 1:
-        raise SampleTooLarge(f"cannot draw {n_plus} of {h} honest voters")
+    check_sample_size(n_plus, len(index.up.honest))
     chosen, z, _ = index.trial(n_plus, rng)
     return index.fraction(z), index.analyze(chosen)

@@ -415,3 +415,25 @@ class TestTrialStreams:
             y_failures += analysis.j_hat > c * exp.profile.n_honest
         assert 0 < violations < exp.trials and 0 < y_failures < exp.trials
         assert (stats.violation_count, stats.y_failure_count) == (violations, y_failures)
+
+
+# Every draw of an active sample from a template checks its size the same
+# way: (honest voters in the template, the call at a given n_plus).
+_SAMPLE_CALLERS = {
+    "Experiment": (20, lambda n_plus: whp_experiment(n_plus=n_plus)),
+    "hoeffding_diagnostic": (4, lambda n_plus: hoeffding_diagnostic(
+        binary_profile(active="pprr", sybil="p"), n_plus, F(1, 10), trials=10, seed=1)),
+    "sample_and_run": (4, lambda n_plus: proxy.sample_and_run(
+        interval_profile(0, active=(1, 2), passive=(3, 4), sybil=(9,)), n_plus, 0, seed=1)),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(_SAMPLE_CALLERS))
+def test_active_sample_holds_one_to_every_honest_voter(caller):
+    honest, call = _SAMPLE_CALLERS[caller]
+    for n_plus in (0, honest + 1):
+        with pytest.raises(SampleTooLarge,
+                           match=f"inside the honest set: {n_plus} is not between 1 and {honest}$"):
+            call(n_plus)
+    call(1)
+    call(honest)

@@ -756,15 +756,32 @@ class TestWorkLimit:
 
     def test_oversized_search_still_refused(self, monkeypatch):
         # At budget 1, b is unreachable: its search evaluates 2 tallies
-        # without removals and 4 with one, and the limit counts tallies.
+        # without removals and 3 with one, and the limit counts tallies.
+        # The honest voter on b's support ballot b>r>a is never removed
+        # (re-adding them repeats a tally), but the refusal still counts
+        # every honest ballot type.
         from realityvote import verifier
 
-        monkeypatch.setattr(verifier, "_WORK_LIMIT", 5)
-        with pytest.raises(BudgetExceeded):
+        monkeypatch.setattr(verifier, "_WORK_LIMIT", 4)
+        with pytest.raises(BudgetExceeded, match="4 honest ballot types, 1 support ballots"):
             outcome_range(Mechanism("cc"), self.ranking_profile(), F(1, 4))
-        monkeypatch.setattr(verifier, "_WORK_LIMIT", 6)
+        monkeypatch.setattr(verifier, "_WORK_LIMIT", 5)
         rng = outcome_range(Mechanism("cc"), self.ranking_profile(), F(1, 4))
         assert rng.reachable == {"r", "a"}
+
+    def test_search_never_repeats_a_tally(self, monkeypatch):
+        # The random-participation template at alpha' = 1/100 (budget 12):
+        # r is the outcome at once; p is unreachable, and since no p voter
+        # is ever removed its search evaluates y + 1 tallies at budget y,
+        # 91 over budgets 0..12, not the 455 of every removal split.
+        rule, kinds = rules._RULES["mj"]
+        tallies = []
+        monkeypatch.setitem(rules._RULES, "mj", (
+            lambda *args: tallies.append(args[1]) or rule(*args), kinds))
+        prof = binary_profile(active="p" * 624 + "r" * 656)
+        assert outcome_range(MJ, prof, F(1, 100)).reachable == {"r"}
+        assert len(tallies) == 1 + 91
+        assert len({tuple(sorted(t.counts.items())) for t in tallies[1:]}) == 91
 
 
 # (mechanism, domain, target, largest budget checked) for finite liveness.
@@ -948,6 +965,40 @@ class TestAgainstDirectEnumeration:
             )
         )
         assert outcome_range(mech, prof, F(1, 4)).reachable == {"a"}
+
+    @pytest.mark.parametrize("domain, ballots, bases, modes, cap, seed", [
+        (DomainSpec.binary(), "rp", [("mj", 0), ("smj", F(1, 5))], ["full", "active"], 3, 51),
+        (_THREE, "rab", [("pl", 0), ("smj", F(1, 5))], ["full"], 3, 52),
+        (DomainSpec.hypercube(2, (0, 0)), None, [("imj", 0)], ["full", "active"], 3, 53),
+        (_THREE, "rankings", [("cc", 0), ("scc", F(1, 5))], ["full", "active"], 2, 54),
+    ])
+    def test_least_cost_matches_voter_level_budgets(self, domain, ballots, bases, modes, cap,
+                                                     seed):
+        # The first voter casts a target's support ballot: _least_cost never
+        # removes them when it is the only one (every target but r under
+        # rankings), while the voter-level definition removes anyone.
+        if ballots == "rankings":
+            ballots = list(itertools.permutations(domain.alternatives))
+        ballots = list(ballots or domain.alternative_list())
+        targets = list(domain.alternative_list())
+        ranked = isinstance(ballots[0], tuple) and domain.kind == "categorical"
+        rng = random.Random(seed)
+        for _ in range(40):
+            target = rng.choice(targets)
+            voters = [(ACTIVE, verifier._support_ballots(domain, ranked, target)[0])]
+            for _ in range(rng.randint(0, 3)):
+                voters.append((rng.choice([ACTIVE, PASSIVE, SYBIL]), rng.choice(ballots)))
+            prof = build_profile(domain, voters)
+            base, base_tau = rng.choice(bases)
+            mech = Mechanism(base, base_tau=base_tau, re_tau=rng.choice([F(0), F(1, 4), F(1, 2)]),
+                             participation=rng.choice(modes))
+            honest, sybils = verifier._split(mech, prof.counts)
+            visible = sum(honest.values())
+            for t in targets:
+                direct = next((b for b in range(cap + 1)
+                               if t in direct_outcome_range(mech, prof, F(b, visible))), None)
+                assert verifier._least_cost(mech, domain, honest, sybils, t, cap) == direct, (
+                    mech, prof.voters, t)
 
     def test_hypercube_ranges_match_voter_level_definition(self):
         cube = DomainSpec.hypercube(2, (0, 0))
