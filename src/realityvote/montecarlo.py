@@ -203,7 +203,7 @@ def run_safety_whp(exp: Experiment) -> TrialStats:
     compared against the Hoeffding-style tail bound."""
     if exp.profile.domain.kind != "binary":
         raise MechanismMismatch("the w.h.p. safety experiment is binary")
-    verifier._check_binary(exp.mechanism, exp.profile.domain)  # before any draw
+    rules._check(exp.mechanism, exp.profile.domain)  # before any draw
     domain, counts = exp.profile.domain, exp.profile.counts
     honest_p = sum(counts[c].get(domain.proposal, 0) for c in HONEST_CLASSES)
     sybil_p = counts[VoterClass.SYBIL].get(domain.proposal, 0)

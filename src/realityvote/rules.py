@@ -15,9 +15,10 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple
 
 from .errors import (
     EmptyElectorate,
@@ -84,23 +85,26 @@ def closed_form(mechanism: Mechanism) -> Tuple[Setting, Fraction]:
     return Setting.ARBITRARY_BINARY, mechanism.re_tau
 
 
-@dataclass(frozen=True, eq=False)
-class Tally:
+class Tally(NamedTuple):
     """Cast vote masses per alternative plus the virtual status-quo mass.
 
     Cast masses are nonnegative integers (counts).  The virtual mass, re_tau
     times the number of voters visible to the mechanism, is the int q over
     the int unit re_tau's denominator (a Fraction q over unit 1 means the
-    same), so the rules compare ints cross-multiplied by the unit.
+    same), so the rules compare ints cross-multiplied by the unit.  An
+    immutable record: the oracle's search builds one per tally it tries.
     """
 
-    counts: Dict[Ballot, int] = field(default_factory=dict)
+    counts: Mapping[Ballot, int] = MappingProxyType({})
     q: Rational = 0
     unit: int = 1
 
     def __eq__(self, other: object) -> bool:  # equal masses, whatever the units
         return isinstance(other, Tally) and self.counts == other.counts and (
             self.q * other.unit == other.q * self.unit)
+
+    def __ne__(self, other: object) -> bool:  # tuple's own != would compare units
+        return not self == other
 
     @property
     def virtual_mass(self) -> Fraction:
@@ -232,8 +236,8 @@ def _scaled_threshold(tau: Rational, unit: int) -> Tuple[int, int]:
 def majority(tally: Tally, domain: DomainSpec) -> Ballot:
     """Binary majority: the proposal wins only by strictly outmassing the
     status quo plus the virtual mass q; ties go to the status quo."""
-    r, p = domain.status_quo, domain.proposal
-    if (tally.mass(p) - tally.mass(r)) * tally.unit > tally.q:
+    r, p, counts = domain.status_quo, domain.proposal, tally.counts
+    if (counts.get(p, 0) - counts.get(r, 0)) * tally.unit > tally.q:
         return p
     return r
 
@@ -242,11 +246,11 @@ def supermajority(tau: Rational, tally: Tally, domain: DomainSpec) -> Ballot:
     """tau-supermajority: elect the (unique) non-status-quo alternative whose
     cast votes strictly exceed a (1/2 + tau) fraction of all votes seen,
     virtual mass included; otherwise keep the status quo."""
-    r = domain.r
+    r, counts = domain.r, tally.counts
     scale, threshold = _scaled_threshold(tau, tally.unit)
-    total = threshold * (tally.cast_total * tally.unit + tally.q)
+    total = threshold * (sum(counts.values()) * tally.unit + tally.q)
     for alternative in domain.alternative_list():
-        if alternative != r and scale * tally.mass(alternative) > total:
+        if alternative != r and scale * counts.get(alternative, 0) > total:
             return alternative
     return r
 
@@ -255,9 +259,13 @@ def plurality(tally: Tally, domain: DomainSpec) -> Ballot:
     """Most cast votes wins, with q credited to the status quo.  Ties
     involving the status quo keep it; ties among challengers break by the
     domain's alternative order."""
-    r = domain.r
-    best = max((a for a in domain.alternative_list() if a != r), key=tally.mass)  # first of equals
-    return best if (tally.mass(best) - tally.mass(r)) * tally.unit > tally.q else r
+    r, counts = domain.r, tally.counts
+    best, most = r, -1  # the first-listed of the top challengers
+    for alternative in domain.alternative_list():
+        mass = counts.get(alternative, 0)
+        if alternative != r and mass > most:
+            best, most = alternative, mass
+    return best if (most - counts.get(r, 0)) * tally.unit > tally.q else r
 
 
 def condorcet_conservative(tau: Rational, tally: Tally, domain: DomainSpec) -> Ballot:

@@ -23,7 +23,9 @@ ballot never hurts the target, so the restriction loses nothing.  With one
 support ballot s, a removal of an honest voter on s and an addition on s
 cancel into the tally one budget lower, which the upward walk has already
 rejected; so those voters are never removed, and no tally is evaluated
-twice.  On the line the range is an interval, found from sentinel movers
+twice.  The counts left by each removal are built once per search and
+reused at every later budget, up to a fixed number of them.  On the line
+the range is an interval, found from sentinel movers
 (``_interval_ranges``), and the search walks the budget upward as on every
 other domain: the first budget whose interval holds the target answers.  A
 yes/no question at one budget (as ``is_live`` asks) is that search capped
@@ -39,7 +41,7 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from . import rules
-from .betweenness import BetweenRegion, between, between_union
+from .betweenness import BetweenRegion, _pair_region, between_union
 from .errors import (
     BudgetExceeded,
     DegenerateParams,
@@ -67,6 +69,7 @@ from .population import (
 from .rules import Mechanism, Tally
 
 _WORK_LIMIT = 5_000_000  # tallies per reachability search before giving up
+_LEVEL_LIMIT = 1 << 16  # removals' counts one search keeps to reuse at later budgets
 
 
 @dataclass(frozen=True)
@@ -189,6 +192,15 @@ def _least_cost(
     per-removal set of cancelling pairs on every search won only 1 of 10
     fresh-interpreter oracle_sweep pairs.
 
+    Removal level x, the counts left by each removal of x honest voters,
+    does not depend on the budget.  It is built once, while budget y = x
+    walks it, and read back in the same order at every later budget, so
+    the tallies, their order and where _WORK_LIMIT refuses are those of a
+    search that rebuilds it each time.  The electorate of level x at
+    budget y is the fixed voters plus h - x + y.  The kept levels hold at
+    most _LEVEL_LIMIT count dicts (a few tens of MB); a level that would
+    pass the limit is rebuilt at each budget instead.
+
     The search gives up after _WORK_LIMIT tallies.  On the line the walk
     reads the reachable interval at each budget (_interval_ranges).
     """
@@ -208,19 +220,20 @@ def _least_cost(
         fixed[stay] = fixed.get(stay, 0) + honest_counts[stay]
     types = sorted((t for t in honest_counts if t != stay), key=repr)
     bounds = [honest_counts[t] for t in types]
-    h = sum(bounds)
+    h, fixed_total = sum(bounds), sum(fixed.values())
     per_voter, unit = mechanism.re_tau.numerator, mechanism.re_tau.denominator
+    levels: Dict[int, List[Dict[Ballot, int]]] = {}  # x -> every removal's counts
     work = 0
     for y in range(cap + 1):
         spreads = [[(ballot, added) for ballot, added in zip(support, spread) if added]
                    for spread in _bounded_compositions(y, (y,) * bins)]
         for x in range(min(y, h) + 1):
-            for removal in _bounded_compositions(x, bounds):
-                base = dict(fixed)
-                for t, kept, taken in zip(types, bounds, removal):
-                    if kept - taken:
-                        base[t] = base.get(t, 0) + kept - taken
-                q = per_voter * (sum(base.values()) + y)
+            q = per_voter * (fixed_total + h - x + y)
+            level = levels.get(x)
+            if level is None:  # first built at y == x, kept if it fits
+                room = _LEVEL_LIMIT - sum(map(len, levels.values()))
+                level = _removal_level(fixed, types, bounds, x, levels, room)
+            for base in level:
                 for spread in spreads:
                     work += 1
                     if work > _WORK_LIMIT:
@@ -234,6 +247,28 @@ def _least_cost(
                     if evaluate(mechanism, Tally(counts, q, unit), domain) == target:
                         return y
     return None
+
+
+def _removal_level(
+    fixed: Dict[Ballot, int], types: Sequence[Ballot], bounds: Sequence[int], x: int,
+    levels: Dict[int, List[Dict[Ballot, int]]], room: int,
+) -> Iterator[Dict[Ballot, int]]:
+    """The fixed counts plus the honest voters (bounds[i] of types[i]) left
+    by each removal of x of them, in _bounded_compositions order; once
+    exhausted, the level is stored as levels[x] if it holds at most room."""
+    level: Optional[List[Dict[Ballot, int]]] = []
+    for removal in _bounded_compositions(x, bounds):
+        base = dict(fixed)
+        for t, kept, taken in zip(types, bounds, removal):
+            if kept - taken:
+                base[t] = base.get(t, 0) + kept - taken
+        if level is not None and len(level) < room:
+            level.append(base)
+        else:
+            level = None
+        yield base
+    if level is not None:
+        levels[x] = level
 
 
 _BIG_STEP = 1_000_000
@@ -436,11 +471,11 @@ def _least_safe_alpha(
     the base rule sees is granted at ceil(c*h/v)/h."""
     visible, r = sum(honest_counts.values()), domain.r
     m0 = rules.evaluate_tally(base, rules._cast_tally(base, honest_counts, visible), domain)
-    if between(domain, r, m0).contains(z):
+    if _pair_region(domain, r, m0).contains(z):
         return 0
     cost = visible + 1
     for t in [z] if domain.kind == "interval" else domain.alternative_list():
-        if between(domain, r, t).contains(z):
+        if _pair_region(domain, r, t).contains(z):
             found = _least_cost(base, domain, honest_counts, {}, t, cost - 1)
             cost = cost if found is None else found
     if cost > visible:
@@ -477,15 +512,8 @@ def _binary_profile(
         for ballot, k in _binary_ballots(domain, on_p, size).items() for _ in range(k)])
 
 
-def _check_binary(mechanism: Mechanism, domain: DomainSpec) -> None:
-    """MechanismMismatch unless _binary_outcome can run the mechanism."""
-    if mechanism.participation == "proxy":  # it reads voter order
-        raise MechanismMismatch("proxy participation is median-on-interval only")
-    rules._rule(mechanism, domain)
-
-
 def _binary_outcome(mechanism: Mechanism, domain: DomainSpec, on_p: int, voters: int) -> Ballot:
-    """rules.apply on that many visible binary voters, on_p on p, after _check_binary."""
+    """rules.apply on that many visible binary voters, on_p on p, after rules._check."""
     tally = rules._cast_tally(mechanism, _binary_ballots(domain, on_p, voters), voters)
     return rules.evaluate_tally(mechanism, tally, domain)
 
@@ -503,30 +531,36 @@ def min_alpha(
     once per count.  The status quo is safe at alpha 0, so the base side is
     asked only for z = p, once per proposal count the base sees among the
     honest voters (k + j, or k for an active-only base): within a shape that
-    count fixes the answer, an int numerator over the h honest voters."""
+    count fixes the answer, an int numerator over the h honest voters.  The
+    populations with one such count show a contiguous range of visible
+    proposal counts, so it is asked when p wins anywhere in that range."""
     domain = DomainSpec.binary()
     n, s, hm = _shape_counts(shape)
     h_plus, h = n - s - hm, n - s
-    # Check the base up front (an all-r walk never asks it), then the mechanism.
+    # Check the base up front (an all-r population never asks it), then the mechanism.
     _split(base, dict.fromkeys(VoterClass, {}))
     rules._rule(base, domain)
-    _check_binary(mechanism, domain)
+    rules._check(mechanism, domain)
     mech_sees_passive, base_sees_passive = (
         VoterClass.HONEST_PASSIVE in rules.visible_classes(m) for m in (mechanism, base))
     electorate = n if mech_sees_passive else h_plus + s
     base_visible = h if base_sees_passive else h_plus
-    outcomes: Dict[int, Ballot] = {}  # visible proposal count -> z
-    answers: Dict[int, int] = {}  # base-visible proposal count -> alpha * h for z = p
-    for k, j, s_p in itertools.product(range(h_plus + 1), range(hm + 1), range(s + 1)):
-        seen = k + j + s_p if mech_sees_passive else k + s_p
-        z = outcomes.get(seen)
-        if z is None:
-            z = outcomes[seen] = _binary_outcome(mechanism, domain, seen, electorate)
-        key = k + j if base_sees_passive else k
-        if z != domain.status_quo and key not in answers:
+    # wins[c]: visible proposal counts below c that elect p
+    wins = list(itertools.accumulate(
+        (_binary_outcome(mechanism, domain, seen, electorate) != domain.status_quo
+         for seen in range(electorate + 1)), initial=0))
+    worst = 0
+    for key in range(base_visible + 1):  # k + j, or k for an active-only base
+        # the visible proposal counts k + j + s_p (or k + s_p) of populations with this key
+        if base_sees_passive:
+            lo, hi = (key, key + s) if mech_sees_passive else (
+                max(0, key - hm), min(h_plus, key) + s)
+        else:
+            lo, hi = key, key + s + (hm if mech_sees_passive else 0)
+        if wins[hi + 1] > wins[lo]:
             honest = _binary_ballots(domain, key, base_visible)
-            answers[key] = _least_safe_alpha(base, domain, z, honest, h)
-    return Fraction(max(answers.values(), default=0), h)
+            worst = max(worst, _least_safe_alpha(base, domain, domain.proposal, honest, h))
+    return Fraction(worst, h)
 
 
 def visible_honest(mechanism: Mechanism, shape: Tuple[int, Rational, Rational]) -> int:

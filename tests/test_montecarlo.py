@@ -129,13 +129,14 @@ class TestSafetyWhp:
         "mechanism, message",
         [pytest.param(mechanism, message, id=mechanism.describe()) for mechanism, message in [
             (Mechanism("mj", participation="proxy"), "median-on-interval only"),
-            (Mechanism("md", participation="proxy"), "median-on-interval only"),
+            (Mechanism("md", participation="proxy"), "rule 'md' does not apply"),
             (Mechanism("pl", participation="active"), "rule 'pl' does not apply"),
         ]],
     )
     def test_mechanism_is_checked_before_any_draw(self, mechanism, message, monkeypatch):
-        # _binary_outcome's checks (proxy participation, then the rule's
-        # domain) run once up front, not at the first distinct draw.
+        # The mechanism is checked once up front (the rule's domain, then
+        # proxy participation, as eval checks it), not at the first
+        # distinct draw.
         def no_draw(*args):
             raise AssertionError("a draw started")
 

@@ -24,13 +24,24 @@ MODULES = [
     importlib.import_module(f"realityvote.{info.name}")
     for info in pkgutil.iter_modules(realityvote.__path__)
 ]
-PUBLIC_DATACLASSES = sorted(
+
+
+def _record_fields(obj):
+    """A dataclass's or a NamedTuple's field names; None for anything else."""
+    if dataclasses.is_dataclass(obj):
+        return {field.name for field in dataclasses.fields(obj)}
+    if isinstance(obj, type) and issubclass(obj, tuple) and hasattr(obj, "_fields"):
+        return set(obj._fields)
+    return None
+
+
+PUBLIC_RECORDS = sorted(
     {
         obj
         for module in MODULES
         for name, obj in vars(module).items()
         if not name.startswith("_")
-        and dataclasses.is_dataclass(obj)
+        and _record_fields(obj) is not None
         and obj.__module__ == module.__name__
     },
     key=lambda cls: f"{cls.__module__}.{cls.__qualname__}",
@@ -38,13 +49,13 @@ PUBLIC_DATACLASSES = sorted(
 
 
 @pytest.mark.parametrize(
-    "cls", PUBLIC_DATACLASSES, ids=lambda cls: f"{cls.__module__}.{cls.__qualname__}"
+    "cls", PUBLIC_RECORDS, ids=lambda cls: f"{cls.__module__}.{cls.__qualname__}"
 )
 def test_type_hints_resolve(cls):
     # Annotations are strings under `from __future__ import annotations`;
     # a name missing from the defining module only fails when resolved.
     hints = typing.get_type_hints(cls)
-    assert set(hints) >= {field.name for field in dataclasses.fields(cls)}
+    assert set(hints) >= _record_fields(cls)
 
 
 def test_every_export_resolves():

@@ -550,6 +550,32 @@ class TestTallyUnit:
         assert Tally(counts, 1) != Tally({"p": 2}, 1)
         assert Tally(counts) != (counts, 0)
 
+    def test_equal_and_unequal_agree_across_units(self):
+        # A tally is a tuple underneath; == and != both compare masses, so
+        # (c, 3, 3) and (c, 1) are equal and not unequal.
+        counts = {"p": 2, "r": 1}
+        for a, b in [(Tally(counts, 3, 3), Tally(counts, 1)), (Tally(counts, 2, 4), Tally(counts, 1, 2))]:
+            assert a == b and b == a
+            assert not (a != b) and not (b != a)
+        assert Tally(counts, 2, 3) != Tally(counts, 3, 2) and not Tally(counts, 2, 3) == Tally(counts, 3, 2)
+
+    def test_is_an_immutable_record(self):
+        tally = Tally(counts={"p": 2}, q=3, unit=6)
+        assert (tally.counts, tally.q, tally.unit) == ({"p": 2}, 3, 6)
+        assert tally == Tally({"p": 2}, 3, 6) == Tally({"p": 2}, unit=6, q=3)
+        assert tally.virtual_mass == F(1, 2) and tally.cast_total == 2
+        assert tally.mass("p") == 2 and tally.mass("r") == 0
+        for field, value in (("counts", {}), ("q", 0), ("unit", 1)):
+            with pytest.raises(AttributeError):
+                setattr(tally, field, value)
+
+    def test_default_counts_are_shared_by_no_one(self):
+        empty, other = Tally(), Tally()
+        assert (empty.q, empty.unit, empty.cast_total) == (0, 1, 0)
+        with pytest.raises(TypeError):
+            empty.counts["p"] = 1
+        assert dict(other.counts) == {} and Tally(q=2).counts == {}
+
     def test_virtual_mass_is_exact(self):
         for tally in (Tally({}, 4, 6), Tally({}, F(2, 3))):
             assert tally.virtual_mass == F(2, 3)

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import math
@@ -391,7 +392,7 @@ class TestMinAlpha:
             pytest.param(Mechanism("mj", participation="proxy"), Mechanism("pl"),
                          "rule 'pl' does not apply", id="base rule off the domain"),
             pytest.param(Mechanism("md", participation="proxy"), MJ,
-                         "median-on-interval only", id="proxy mechanism, off the domain"),
+                         "rule 'md' does not apply", id="proxy mechanism, off the domain"),
             pytest.param(Mechanism("mj", participation="proxy"), MJ,
                          "median-on-interval only", id="proxy mechanism"),
             pytest.param(Mechanism("pl", participation="active"), MJ,
@@ -400,8 +401,9 @@ class TestMinAlpha:
     )
     def test_mismatches_are_reported_in_order(self, mech, base, message, tau):
         # The base is checked first (a proxy base before its rule's
-        # domain), then the mechanism (proxy participation before its
-        # rule's domain), whether or not any outcome asks the base side:
+        # domain), then the mechanism (its rule's domain before proxy
+        # participation, as eval checks it), whether or not any outcome
+        # asks the base side:
         # at re_tau 10 under active participation every outcome is r.
         with pytest.raises(MechanismMismatch, match=message):
             min_alpha(dataclasses.replace(mech, re_tau=tau), base, (5, F(2, 5), F(1, 5)))
@@ -782,6 +784,90 @@ class TestWorkLimit:
         assert outcome_range(MJ, prof, F(1, 100)).reachable == {"r"}
         assert len(tallies) == 1 + 91
         assert len({tuple(sorted(t.counts.items())) for t in tallies[1:]}) == 91
+
+
+# TestTallySequence's searches: (mechanism, domain, honest counts, sybil
+# counts, target, its support ballots, cap), and the tallies evaluated and
+# the least cost found, so each pin covers several budgets.
+_CUBE = DomainSpec.hypercube(3, (0, 0, 0))
+SEQUENCE_SEARCHES = {
+    # criterion 9's honest voters at alpha = 16/60: three removable types
+    "imj hypercube": ((Mechanism("imj"), _CUBE, {(0, 0, 1): 20, (0, 1, 0): 20, (1, 0, 0): 20},
+                       {}, (1, 1, 1), [(1, 1, 1)], 16), (4632, 16)),
+    # three honest types; a's own voters are never removed
+    "pl categorical": ((Mechanism("pl", re_tau=F(1, 3)), _THREE, {"r": 2, "a": 1, "b": 3},
+                        {"b": 1}, "a", ["a"], 5), (14, 3)),
+    # the status quo under rankings: several support ballots, every type removable
+    "cc r-target": ((Mechanism("cc", re_tau=F(1, 5)), _THREE,
+                     {("a", "r", "b"): 3, ("a", "b", "r"): 3, ("b", "a", "r"): 1},
+                     {("a", "b", "r"): 2}, "r", [("r", "a", "b"), ("r", "b", "a")], 5), (146, 4)),
+}
+
+
+class TestTallySequence:
+    """_least_cost evaluates the same tallies in the same order whether it
+    keeps its removal levels or rebuilds them at every budget."""
+
+    @staticmethod
+    def reference(mechanism, domain, honest, sybils, target, support, cap):
+        """Every tally (counts, q, unit) up to the first electing one:
+        budget-major, then x = 0..y removals, each x's removals in
+        lexicographic order over the removable types sorted by repr, then
+        each split of the y additions over the support ballots.  The honest
+        voters on a lone support ballot are never removed."""
+        stay = support[0] if len(support) == 1 else None
+        types = sorted((t for t in honest if t != stay), key=repr)
+        removals = sorted(itertools.product(*(range(honest[t] + 1) for t in types)), key=sum)
+        fixed = collections.Counter(sybils) + collections.Counter({stay: honest.get(stay, 0)})
+        tau, seen = mechanism.re_tau, []
+        for y in range(cap + 1):
+            spreads = [c for c in itertools.product(range(y + 1), repeat=len(support)) if sum(c) == y]
+            for removal in (r for r in removals if sum(r) <= y):
+                for spread in spreads:
+                    counts = fixed + collections.Counter(
+                        {t: honest[t] - k for t, k in zip(types, removal)})
+                    counts = dict(counts + collections.Counter(dict(zip(support, spread))))
+                    q = tau.numerator * sum(counts.values())
+                    seen.append((counts, q, tau.denominator))
+                    if rules.evaluate_tally(mechanism, rules.Tally(counts, q, tau.denominator),
+                                            domain) == target:
+                        return seen, y
+        return seen, None
+
+    @pytest.mark.parametrize("limit", [None, 1, 0], ids=["kept", "limit 1", "limit 0"])
+    @pytest.mark.parametrize("case", SEQUENCE_SEARCHES)
+    def test_same_tallies_in_the_same_order(self, case, limit, monkeypatch):
+        search, walk = SEQUENCE_SEARCHES[case]
+        mechanism, domain, honest, sybils, target, support, cap = search
+        want, want_cost = self.reference(*search)
+        assert (len(want), want_cost) == walk
+        if limit is not None:
+            monkeypatch.setattr(verifier, "_LEVEL_LIMIT", limit)
+        limit = verifier._LEVEL_LIMIT
+        rule, kinds = rules._RULES[mechanism.base]
+        tallies, built = [], []
+        monkeypatch.setitem(rules._RULES, mechanism.base, (
+            lambda *args: tallies.append((dict(args[1].counts), args[1].q, args[1].unit))
+            or rule(*args), kinds))
+        real_level = verifier._removal_level
+
+        def spy(fixed, types, bounds, x, levels, room):
+            built.append(x)
+            yield from real_level(fixed, types, bounds, x, levels, room)
+            assert sum(map(len, levels.values())) <= limit
+
+        monkeypatch.setattr(verifier, "_removal_level", spy)
+        cost = verifier._least_cost(mechanism, domain, honest, sybils, target, cap)
+        assert cost == want_cost
+        assert tallies == want
+        # kept: each level is built once; at limit 0 every budget rebuilds
+        # every level it reaches.
+        if limit > 1:
+            assert built == list(range(len(built)))
+        if limit == 0:
+            h = sum(k for t, k in honest.items() if len(support) > 1 or t != support[0])
+            every = [x for y in range(cap + 1) for x in range(min(y, h) + 1)]
+            assert built == every[:len(built)] and built.count(0) == (cap if cost is None else cost) + 1
 
 
 # (mechanism, domain, target, largest budget checked) for finite liveness.
