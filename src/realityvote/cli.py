@@ -9,7 +9,9 @@ failure.  Every command is deterministic given its arguments.
 from __future__ import annotations
 
 import argparse
+import bisect
 import math
+import operator
 import os
 import sys
 from fractions import Fraction
@@ -88,10 +90,7 @@ def _format_outcome(outcome) -> str:
 
 
 def _tally_order(domain, counts):
-    """The tally's (ballot, count) items in print order."""
-    if domain.kind == "interval":  # on the integer index: exact, and no Fraction compares
-        scale = rules.position_scale(counts)
-        return sorted(counts.items(), key=lambda item: rules.scaled(item[0], scale))
+    """A finite domain's tally (ballot, count) items in print order."""
     if domain.kind == "hypercube":  # points sort naturally, and no two are equal
         return sorted(counts.items())
     order = {a: i for i, a in enumerate(domain.alternative_list())}
@@ -99,23 +98,40 @@ def _tally_order(domain, counts):
     return sorted(counts.items(), key=lambda item: rank(item[0]))
 
 
+_position_of = operator.itemgetter(0)
+
+
+def _entity_lines(index) -> List[str]:
+    """A proxy index's entities ascending, the status quo first on its
+    position and one position's voters in profile order."""
+    rows, (r, position, weight) = index.weights()
+    rows.sort(key=_position_of)  # stable
+    labels = {x: p for x, p, _ in rows}  # each distinct position formatted once
+    labels = {x: format_rational(p) for x, p in labels.items()}
+    lines = [f"  {labels[x]}: {w}" for x, _, w in rows]
+    status_quo = f"  {format_rational(position)}: {format_rational(weight)} (status quo)"
+    lines.insert(bisect.bisect_left(rows, r, key=_position_of), status_quo)
+    return lines
+
+
 def cmd_eval(args) -> int:
     profile = _load_profile(args.profile)
     mechanism = parse_mechanism(args.mechanism)
-    rules._check(mechanism, profile.domain)  # a mismatch is reported first
+    domain = profile.domain
+    rules._check(mechanism, domain)  # a mismatch is reported first
     if mechanism.participation == "proxy":  # one index gives outcome and weights
         index = proxy._ProxyIndex(profile, mechanism.re_tau)
-        outcome, lines = index.median(), ["entities:"]
-        for _, e in sorted(index.entities(), key=lambda xe: (xe[0], not xe[1].is_status_quo)):
-            tag = " (status quo)" if e.is_status_quo else ""
-            lines.append(f"  {format_rational(e.position)}: {format_rational(e.weight)}{tag}")
+        outcome, lines = index.median(), ["entities:", *_entity_lines(index)]
     else:  # rules.apply, keeping the tally to print
-        tally = rules.build_tally(mechanism, profile.counts)
-        outcome = rules.evaluate_tally(mechanism, tally, profile.domain)
-        lines = [f"visible: {tally.cast_total}", f"q: {format_rational(tally.virtual_mass)}"]
+        if domain.kind == "interval":  # md and som, counted on the integer index
+            outcome, q, rows = rules.apply_on_line(mechanism, profile)
+        else:
+            tally = rules.build_tally(mechanism, profile.counts)
+            outcome = rules.evaluate_tally(mechanism, tally, domain)
+            q, rows = tally.virtual_mass, _tally_order(domain, tally.counts)
+        lines = [f"visible: {sum(count for _, count in rows)}", f"q: {format_rational(q)}"]
         lines.append("tally:")
-        for ballot, count in _tally_order(profile.domain, tally.counts):
-            lines.append(f"  {_format_outcome(ballot)}: {count}")
+        lines += [f"  {_format_outcome(ballot)}: {count}" for ballot, count in rows]
     print(f"mechanism: {mechanism.describe()}")
     print(f"outcome: {_format_outcome(outcome)}")
     print("\n".join(lines))

@@ -6,7 +6,9 @@ byte-identical.
 
 ``profile_from_json`` reads each distinct (class, ballot string) entry once
 per call, in a dict local to the call that only strings and None enter
-(``1 == True`` hash alike), and checks it in full at its first voter.
+(``1 == True`` hash alike): a known entry costs one lookup, and anything
+else is checked in full at its first voter.  Each distinct string is parsed
+once, on the line straight to its ``Fraction``.
 """
 
 from __future__ import annotations
@@ -168,29 +170,40 @@ def profile_from_json(text: str) -> Profile:
     except KeyError as exc:
         raise InvalidBallot(f"the domain lacks the {exc} field") from None
     index = {}  # (class tag, ballot string or None) -> entry number
-    parsed = {}  # ballot string (or None) -> its ballot, in any class
+    parsed = {}  # ballot string -> its ballot, in any class
     entries, numbers = [], []
+    on_line = domain.kind == "interval"  # where a parsed string is a valid ballot as it is
+    read = parse_rational if on_line else lambda raw: _ballot_from_json(domain, raw)
     for voter in doc["voters"]:
-        if not isinstance(voter, dict):
-            raise InvalidBallot(f"a voter entry must be an object, not {voter!r}")
-        key = voter.get("class"), voter.get("ballot")
-        try:
+        try:  # a known entry costs one lookup
+            key = voter["class"], voter["ballot"]
             number = index.get(key)
-        except TypeError:  # a list: rankings and points are entries of their own
-            number = None
+        except (KeyError, TypeError):  # not an object, a field missing, or a list
+            key = number = None
+        if key is None:  # the full checks
+            if not isinstance(voter, dict):
+                raise InvalidBallot(f"a voter entry must be an object, not {voter!r}")
+            key = voter.get("class"), voter.get("ballot")
+            try:
+                number = index.get(key)
+            except TypeError:  # a list: rankings and points are entries of their own
+                number = None
         if number is None:  # a new entry, checked in full before the next voter
             tag, raw = key
             cls = _TAG_TO_CLASS.get(tag) if isinstance(tag, str) else None
             if cls is None:
                 raise InvalidBallot(f"unknown voter class {tag!r}")
-            ballot = parsed.get(raw) if type(raw) is str else None
-            if ballot is None:
-                ballot = _ballot_from_json(domain, raw)
+            if type(raw) is not str:
+                entry = _checked_entry(domain, cls, _ballot_from_json(domain, raw))
+            else:  # each string is parsed once, in any class
+                ballot = parsed.get(raw)
+                if ballot is None:
+                    ballot = parsed[raw] = read(raw)
+                entry = (cls, ballot) if on_line else _checked_entry(domain, cls, ballot)
             number = len(entries)
-            entries.append(_checked_entry(domain, cls, ballot))
+            entries.append(entry)
             if raw is None or type(raw) is str:  # only text is shared: 1 == True
                 index[key] = number
-                parsed[raw] = ballot
         numbers.append(number)
     return _assemble(domain, entries, numbers)
 

@@ -27,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
 from . import rules
 from .errors import (
@@ -179,18 +179,12 @@ class _ProxyIndex:
         self.voters = voters = profile.voters
         if any(ballot is None for _, ballot in voters):
             raise MissingPrivateBallots("delegation needs every passive voter's position")
-        self.scale = scale = rules.position_scale([*(ballot for _, ballot in voters), r])
-        memo: Dict[int, int] = {}  # by identity: a file's voters share position objects
-        self.xs: List[int] = []  # every voter's scaled position, in profile order
+        self.scale, self.xs = rules.scale_positions([ballot for _, ballot in voters], r)
         honest: List[int] = []
         sybils: List[int] = []
         self.active: List[int] = []
         sybil, active = VoterClass.SYBIL, VoterClass.HONEST_ACTIVE
-        for cls, ballot in voters:
-            x = memo.get(id(ballot))
-            if x is None:
-                x = memo[id(ballot)] = rules.scaled(ballot, scale)
-            self.xs.append(x)
+        for (cls, _), x in zip(voters, self.xs):
             if cls is sybil:
                 sybils.append(x)
                 continue
@@ -199,7 +193,7 @@ class _ProxyIndex:
             honest.append(x)
         self.r = r
         self.re_tau = as_fraction(re_tau)
-        self.up = _Line(honest, sybils, rules.scaled(r, scale))
+        self.up = _Line(honest, sybils, rules.scaled(r, self.scale))
         self.n = profile.n
         status_quo_mass = self.re_tau * self.n + (1 if r_unit_weight else 0)
         self.unit = status_quo_mass.denominator
@@ -213,9 +207,12 @@ class _ProxyIndex:
         drawn = [self.up.honest[i] for i in self.active]
         return self.fraction(self.outcome(self.up, drawn))
 
-    def entities(self, include_status_quo: bool = True) -> List[Tuple[int, ProxyEntity]]:
-        """The delegation's entities (see delegate), each with its scaled
-        position: the voters in profile order, then the status quo."""
+    def weights(
+        self, include_status_quo: bool = True
+    ) -> Tuple[List[Tuple[int, Fraction, int]], Optional[Tuple[int, Fraction, Fraction]]]:
+        """The delegation (see delegate) as (scaled position, position,
+        weight) rows: the active voters' in profile order with int weights,
+        and the status quo's (None when it is excluded)."""
         line = self.up
         drawn = [line.honest[i] for i in self.active]
         if not include_status_quo and not drawn and not line.sybils:
@@ -224,14 +221,23 @@ class _ProxyIndex:
         on_proxy = Counter(drawn)
         followers = {x: cut - below - on_proxy[x] for x, cut, below in zip(pool, cuts, [0, *cuts])}
         passive = VoterClass.HONEST_PASSIVE
-        entities = [  # the first active voter on a position takes its followers
-            (x, ProxyEntity(ballot, Fraction(1 + followers.pop(x, 0))))
+        rows = [  # the first active voter on a position takes its followers
+            (x, ballot, 1 + followers.pop(x, 0))
             for (cls, ballot), x in zip(self.voters, self.xs) if cls is not passive
         ]
-        if include_status_quo:
-            weight = Fraction(self.status_quo_mass, self.unit) + followers.pop(line.r, 0)
-            entities.append((line.r, ProxyEntity(self.r, weight, is_status_quo=True)))
-        return entities
+        if not include_status_quo:
+            return rows, None
+        weight = Fraction(self.status_quo_mass, self.unit) + followers.pop(line.r, 0)
+        return rows, (line.r, self.r, weight)
+
+    def entities(self, include_status_quo: bool = True) -> Tuple[ProxyEntity, ...]:
+        """The delegation's entities (see delegate): the voters in profile
+        order, then the status quo."""
+        rows, status_quo = self.weights(include_status_quo)
+        entities = [ProxyEntity(position, Fraction(weight)) for _, position, weight in rows]
+        if status_quo is not None:
+            entities.append(ProxyEntity(self.r, status_quo[2], is_status_quo=True))
+        return tuple(entities)
 
     def delegation(
         self, line: _Line, drawn: Sequence[int], include_status_quo: bool = True
@@ -378,8 +384,8 @@ def delegate(
     a base weight of 1 like any other entity.  Followers of a position go to
     its first active voter in profile order.
     """
-    entities = _ProxyIndex(profile, re_tau, r_unit_weight).entities(include_status_quo)
-    return DelegationWeights(entities=tuple(entity for _, entity in entities))
+    index = _ProxyIndex(profile, re_tau, r_unit_weight)
+    return DelegationWeights(entities=index.entities(include_status_quo))
 
 
 def weighted_median(entries: Sequence[Tuple[Rational, Rational]]) -> Fraction:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -36,6 +37,7 @@ THRESHOLD_RULES = ("smj", "scc", "som")  # the base rules that take a tau
 RANKING_RULES = ("cc", "scc")  # the base rules whose ballots are rankings
 _EVERY_CLASS = tuple(VoterClass)
 _ACTIVE_CLASSES = (VoterClass.HONEST_ACTIVE, VoterClass.SYBIL)
+_NO_PRIVATE_BALLOTS = "full participation needs passive voters' ballots"
 
 
 @dataclass(frozen=True)
@@ -118,13 +120,6 @@ class Tally(NamedTuple):
         return self.counts.get(alternative, 0)
 
 
-def tally_ballots(ballots: Iterable[Ballot], q: Rational = 0) -> Tally:
-    counts: Dict[Ballot, int] = {}
-    for ballot in ballots:
-        counts[ballot] = counts.get(ballot, 0) + 1
-    return Tally(counts=counts, q=as_fraction(q))
-
-
 # ---------------------------------------------------------------------------
 # Weighted medians on a sorted integer index (exact rational masses).
 #
@@ -149,6 +144,16 @@ def position_scale(positions: Iterable[Fraction]) -> int:
 def scaled(position: Fraction, scale: int) -> int:
     """A position on the integer index of the given scale."""
     return position.numerator * (scale // position.denominator)
+
+
+def scale_positions(positions: Sequence[Fraction], r: Fraction) -> Tuple[int, List[int]]:
+    """The least common scale of the positions and r, and the positions on
+    it in order; each distinct position object (a file's voters share them)
+    is scaled once."""
+    distinct = {id(p): p for p in positions}
+    scale = position_scale([*distinct.values(), r])
+    at = {key: scaled(p, scale) for key, p in distinct.items()}
+    return scale, [at[id(p)] for p in positions]
 
 
 def locate(xs: Sequence[int], prefix: Prefix) -> Locator:
@@ -219,8 +224,13 @@ def mass_index(entries: Iterable[MassEntry]) -> Tuple[int, List[int], List[int]]
         if m:
             x = scaled(p, scale)
             masses[x] = masses.get(x, 0) + m.numerator * (unit // m.denominator)
+    return (scale, *_prefix_index(masses))
+
+
+def _prefix_index(masses: Dict[int, int]) -> Tuple[List[int], List[int]]:
+    """The positions of positive integer mass ascending, and their inclusive prefix masses."""
     xs = sorted(masses)
-    return scale, xs, list(itertools.accumulate(masses[x] for x in xs))
+    return xs, list(itertools.accumulate(masses[x] for x in xs))
 
 
 # ---------------------------------------------------------------------------
@@ -327,11 +337,15 @@ def suppress_outer_median(tau: Rational, tally: Tally, domain: DomainSpec) -> Fr
     """
     r = domain.status_quo_position
     scale, xs, cum = mass_index([*tally.counts.items(), (r, tally.virtual_mass)])
+    return _indexed_median(tau, scale, xs, cum, scaled(r, scale))
+
+
+def _indexed_median(tau: Rational, scale: int, xs: List[int], cum: List[int], r: int) -> Fraction:
+    """suppress_outer_median on a sorted integer index (see mass_index), r scaled."""
     if not xs:
         raise EmptyElectorate("median of an empty electorate")
     least = locate(xs, cum.__getitem__)
-    m = suppressed_median_at(as_fraction(tau), least, cum[-1], scaled(r, scale))
-    return Fraction(m, scale)
+    return Fraction(suppressed_median_at(as_fraction(tau), least, cum[-1], r), scale)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +366,7 @@ def build_tally(mechanism: Mechanism, counts: CountTable) -> Tally:
     voter: the proxy mechanism knows how many voters delegated)."""
     cast = ballot_counts(counts, visible_classes(mechanism))
     if None in cast:
-        raise MissingPrivateBallots("full participation needs passive voters' ballots")
+        raise MissingPrivateBallots(_NO_PRIVATE_BALLOTS)
     electorate = sum(cast.values())
     if mechanism.participation == "proxy":
         electorate = sum(sum(by_ballot.values()) for by_ballot in counts.values())
@@ -363,6 +377,31 @@ def _cast_tally(mechanism: Mechanism, cast: Dict[Ballot, int], electorate: int) 
     """Visible ballot counts plus q, re_tau times the electorate tallied."""
     re_tau = mechanism.re_tau
     return Tally(cast, re_tau.numerator * electorate, re_tau.denominator)
+
+
+def apply_on_line(
+    mechanism: Mechanism, profile: Profile
+) -> Tuple[Fraction, Fraction, List[Tuple[Fraction, int]]]:
+    """``apply`` for md and som under full or active participation, with
+    the tally it evaluated: the outcome, q, and the visible (position,
+    count) rows ascending, equal positions merged.  The rows and the
+    median's index are counted on the scaled positions (scale_positions),
+    so no Fraction is hashed or compared."""
+    visible = visible_classes(mechanism)
+    shown = [ballot for cls, ballot in profile.voters if cls in visible]
+    if any(ballot is None for ballot in shown):
+        raise MissingPrivateBallots(_NO_PRIVATE_BALLOTS)
+    r = profile.domain.status_quo_position
+    scale, at = scale_positions(shown, r)
+    counts, labels = Counter(at), dict(zip(at, shown))  # scaled position -> voters, a position
+    re_tau, r_x = mechanism.re_tau, scaled(r, scale)
+    q, unit = re_tau.numerator * len(shown), re_tau.denominator  # q over unit, as in a Tally
+    masses = {x: count * unit for x, count in counts.items()}
+    if q:
+        masses[r_x] = masses.get(r_x, 0) + q
+    xs, cum = _prefix_index(masses)
+    outcome = _indexed_median(mechanism.base_tau, scale, xs, cum, r_x)
+    return outcome, Fraction(q, unit), [(labels[x], counts[x]) for x in xs if x in counts]
 
 
 #: Base rule -> (its evaluator on (mechanism, tally, domain), the domain

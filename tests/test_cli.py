@@ -1,5 +1,9 @@
+import contextlib
+import io
 import json
+import os
 import random
+import tempfile
 from fractions import Fraction
 
 import pytest
@@ -555,6 +559,108 @@ class TestEval:
         assert len(indices) == 1
         positions = {b for _, b in ORDER_POP.voters}
         assert sorted(scaled) == sorted([*positions, ORDER_POP.domain.status_quo_position])
+
+    @pytest.mark.parametrize("spec", ["md re:1/5 mode:active", "som:1/5 mode:active"])
+    def test_median_eval_scales_each_visible_position_once_and_builds_no_table(
+        self, order_file, spec, monkeypatch
+    ):
+        # The tally is counted on the integer index: each distinct visible
+        # position (and r) is scaled once, for the median and the print
+        # order alike, and no Fraction-keyed count table is built.
+        from realityvote import population, rules
+
+        scaled, tables = [], []
+        real_scaled, real_table = rules.scaled, population._count_table
+        monkeypatch.setattr(rules, "scaled", lambda p, s: scaled.append(p) or real_scaled(p, s))
+        monkeypatch.setattr(population, "_count_table",
+                            lambda *args: tables.append(args) or real_table(*args))
+        assert main(["eval", "--profile", order_file, "--mechanism", spec]) == 0
+        visible = {b for cls, b in ORDER_POP.voters if cls is not PASSIVE}
+        assert sorted(scaled) == sorted([*visible, ORDER_POP.domain.status_quo_position])
+        assert tables == []
+
+
+# Interval position raws: non-canonical strings ("2/4", "-0", "007", "-3/6")
+# next to their canonical forms and JSON ints, few enough that positions
+# repeat within and across classes.
+LINE_RAWS = ["1/2", "2/4", "-0", "0", "007", 7, "-3/6", "-1/2", 3, "5/3", "-2"]
+LINE_SPECS = [f"{base} mode:{mode}" for base in ("md", "som:1/3", "md re:1/5")
+              for mode in ("full", "active", "proxy")]
+
+
+@st.composite
+def line_documents(draw):
+    """Interval profile documents: an active voter first, then actives,
+    sybils and passives with and without a position."""
+    raw = st.sampled_from(LINE_RAWS)
+    voter = st.one_of(
+        st.fixed_dictionaries({"class": st.sampled_from(["honest_active", "sybil",
+                                                         "honest_passive"]), "ballot": raw}),
+        st.just({"class": "honest_passive", "ballot": None}),
+    )
+    first = {"class": "honest_active", "ballot": draw(raw)}
+    voters = [first, *draw(st.lists(voter, max_size=12))]
+    domain = {"kind": "interval", "r": draw(st.sampled_from(["0", "1/2", "-0", "2/4", 3]))}
+    return json.dumps({"domain": domain, "voters": voters})
+
+
+def public_eval(text, spec):
+    """The exit code, stdout and stderr of eval from the public path:
+    rules.apply, build_tally with its positions sorted as Fractions, and
+    delegate's entities sorted by position, the status quo first."""
+    from realityvote import errors, rules
+
+    try:
+        profile, mechanism = profile_from_json(text), parse_mechanism(spec)
+        outcome = rules.apply(mechanism, profile)
+        if mechanism.participation == "proxy":
+            entities = delegate(profile, mechanism.re_tau).entities
+            lines = ["entities:"] + [
+                f"  {format_rational(e.position)}: {format_rational(e.weight)}"
+                + (" (status quo)" if e.is_status_quo else "")
+                for e in sorted(entities, key=lambda e: (e.position, not e.is_status_quo))
+            ]
+        else:
+            tally = rules.build_tally(mechanism, profile.counts)
+            lines = [f"visible: {tally.cast_total}", f"q: {format_rational(tally.virtual_mass)}",
+                     "tally:"]
+            lines += [f"  {format_rational(x)}: {c}" for x, c in sorted(tally.counts.items())]
+    except (MechanismMismatch, errors.NonRankingBallot) as exc:
+        return 3, "", f"error (mechanism/domain): {exc}\n"
+    except errors.RealityVoteError as exc:
+        return 2, "", f"error (input): {exc}\n"
+    head = [f"mechanism: {mechanism.describe()}", f"outcome: {format_rational(outcome)}"]
+    return 0, "\n".join(head + lines) + "\n", ""
+
+
+def cli_eval(text, spec):
+    """The exit code, stdout and stderr of eval on a file holding text."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "line.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["eval", "--profile", path, "--mechanism", spec])
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestLineEval:
+    """eval on the line counts, orders and prints on the integer index; it
+    must print exactly what the public path gives."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(line_documents())
+    def test_matches_the_public_path(self, text):
+        for spec in LINE_SPECS:
+            assert cli_eval(text, spec) == public_eval(text, spec), spec
+
+    def test_missing_private_ballots_under_full_participation(self):
+        voters = [{"class": "honest_active", "ballot": "1/2"},
+                  {"class": "honest_passive", "ballot": None}]
+        text = json.dumps({"domain": {"kind": "interval", "r": "0"}, "voters": voters})
+        expected = (2, "", "error (input): full participation needs passive voters' ballots\n")
+        assert cli_eval(text, "md mode:full") == public_eval(text, "md mode:full") == expected
 
 
 class TestFrontier:

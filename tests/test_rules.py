@@ -29,7 +29,6 @@ from realityvote.rules import (
     suppress_outer_median,
     supermajority,
     Tally,
-    tally_ballots,
 )
 
 from conftest import ACTIVE, PASSIVE, SYBIL, binary_profile, interval_profile, profiles
@@ -37,6 +36,14 @@ from conftest import ACTIVE, PASSIVE, SYBIL, binary_profile, interval_profile, p
 BIN = DomainSpec.binary()
 CAT = DomainSpec.categorical(["r", "p", "p2"], "r")
 LINE4 = DomainSpec.interval(4)
+
+
+def tally_ballots(ballots, q=0):
+    """A tally of every ballot given, q over unit 1."""
+    counts = {}
+    for ballot in ballots:
+        counts[ballot] = counts.get(ballot, 0) + 1
+    return Tally(counts=counts, q=Fraction(q))
 
 
 class TestMajority:

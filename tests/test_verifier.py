@@ -1086,6 +1086,23 @@ class TestAgainstDirectEnumeration:
                 assert verifier._least_cost(mech, domain, honest, sybils, t, cap) == direct, (
                     mech, prof.voters, t)
 
+    def test_status_quo_search_removes_from_its_first_support_ballot(self):
+        # r has two support rankings, r>a>b and r>b>a.  The one honest r>a>b
+        # voter switching to r>b>a leaves a and b 3 to 3, so no challenger
+        # beats every other and r wins: cost 1.  A search that kept the
+        # r>a>b voters fixed, as it may with one support ballot, needs two
+        # additions.
+        from realityvote import verifier
+
+        mech = Mechanism("cc", re_tau=F(1, 4), participation="full")
+        honest = [("r", "a", "b"), ("b", "a", "r"), ("b", "a", "r")]
+        prof = build_profile(_THREE, [(ACTIVE, b) for b in honest] + [(SYBIL, ("a", "r", "b"))] * 3)
+        assert apply(mech, prof) == "a"
+        honest_counts, sybils = verifier._split(mech, prof.counts)
+        assert verifier._least_cost(mech, _THREE, honest_counts, sybils, "r", 3) == 1
+        reachable = outcome_range(mech, prof, F(1, 3)).reachable
+        assert reachable == direct_outcome_range(mech, prof, F(1, 3)) == {"r", "a"}
+
     def test_hypercube_ranges_match_voter_level_definition(self):
         cube = DomainSpec.hypercube(2, (0, 0))
         points = list(cube.alternative_list())
