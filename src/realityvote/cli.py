@@ -42,13 +42,7 @@ EXIT_GATE = 5
 ENUM_CAP_ENV = "REALITYVOTE_ENUM_CAP"
 DEFAULT_ENUM_CAP = 10
 
-_SETTINGS = {
-    "arbitrary": Setting.ARBITRARY_BINARY,
-    "random": Setting.RANDOM_NONATOMIC,
-    "random-finite": Setting.RANDOM_FINITE,
-    "multialt": Setting.MULTI_ALT_SMJ,
-    "proxy": Setting.PROXY_INTERVAL,
-}
+_SETTINGS = {s.value.replace("_", "-"): s for s in Setting}
 
 
 def parse_mechanism(spec: str) -> Mechanism:

@@ -2,13 +2,8 @@
 
 Rationals travel as 'p/q' strings, never floats; the JSON canonicalization
 (sorted keys, compact separators) makes parse/serialize round-trips
-byte-identical.
-
-``profile_from_json`` reads each distinct (class, ballot string) entry once
-per call, in a dict local to the call that only strings and None enter
-(``1 == True`` hash alike): a known entry costs one lookup, and anything
-else is checked in full at its first voter.  Each distinct string is parsed
-once, on the line straight to its ``Fraction``.
+byte-identical.  ``profile_from_json`` checks each distinct entry in full
+once (README "How a profile is counted").
 """
 
 from __future__ import annotations
@@ -35,12 +30,7 @@ from .population import (
 PROFILE_FORMAT = "realityvote/profile/v1"
 FRONTIER_SCHEMA_VERSIONS = (1,)
 
-_CLASS_TO_TAG = {
-    VoterClass.HONEST_ACTIVE: "honest_active",
-    VoterClass.HONEST_PASSIVE: "honest_passive",
-    VoterClass.SYBIL: "sybil",
-}
-_TAG_TO_CLASS = {tag: cls for cls, tag in _CLASS_TO_TAG.items()}
+_TAG_TO_CLASS = {cls.value: cls for cls in VoterClass}
 _RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")  # [0-9]: ASCII digits only
 _INT = re.compile(r"-?[0-9]+")
 
@@ -120,9 +110,7 @@ def _ballot_to_json(domain: DomainSpec, ballot: Optional[Ballot]):
         return None
     if domain.kind == "interval":
         return format_rational(ballot)
-    if domain.kind == "hypercube":
-        return list(ballot)
-    if isinstance(ballot, tuple):  # ranking
+    if isinstance(ballot, tuple):  # a hypercube point or a ranking
         return list(ballot)
     return ballot
 
@@ -145,10 +133,7 @@ def profile_to_json(profile: Profile) -> str:
         "format": PROFILE_FORMAT,
         "domain": _domain_to_json(profile.domain),
         "voters": [
-            {
-                "class": _CLASS_TO_TAG[cls],
-                "ballot": _ballot_to_json(profile.domain, ballot),
-            }
+            {"class": cls.value, "ballot": _ballot_to_json(profile.domain, ballot)}
             for cls, ballot in profile.voters
         ],
     }

@@ -1,23 +1,13 @@
 """Seed-deterministic random-participation experiments.
 
 Each trial draws the active honest set uniformly without replacement from
-the template's honest population (a binary trial is only a count table)
-and tests its outcome against the verifier's safe region, computed once:
-the base rule reads every honest ballot, so no draw changes it.
-
-Trial t draws from ``Philox(SeedSequence(seed, spawn_key=(t,)))``, so
-serial and parallel execution agree bit-for-bit.  Philox is counter-based:
-its key alone names the stream.  A run therefore derives every trial's key
-in one vectorised pass (``_trial_keys``, SeedSequence's hash applied to all
-trial indices at once) and re-keys one generator per trial
-(``_trial_generators``), which then draws exactly what a fresh one would.
-A spawn key of 2**32 or more takes a second 32-bit word, so a run has at
-most 2**32 trials.
-
-This is the one module that imports numpy and ``numpy.random`` when it
-loads; ``import realityvote`` does not import it.  Importing the generator
-classes by name loads ``numpy.random`` with the module, not at a run's
-first draw.
+the template's honest population and tests its outcome against the
+verifier's safe region, computed once: the base rule reads every honest
+ballot, so no draw changes it.  Trial t draws exactly what
+``Generator(Philox(SeedSequence(seed, spawn_key=(t,))))`` draws, whatever
+the order trials run in, and a run has at most 2**32 trials (README "Monte
+Carlo trials: one key pass per run").  This is the one module that loads
+numpy on import.
 """
 
 from __future__ import annotations
@@ -40,7 +30,6 @@ from .population import (
     Rational,
     VoterClass,
     as_fraction,
-    ballot_counts,
     check_sample_size,
 )
 from .rules import Mechanism
@@ -78,19 +67,23 @@ class Experiment:
 
 @dataclass(frozen=True)
 class TrialStats:
-    """Empirical violation tally against its analytic comparator.
-
-    ``standard_error`` is the binomial standard error of the comparator
-    rate at this trial count (deterministic given the experiment), and the
-    acceptance gates allow three of them as slack.
-    """
+    """Empirical violation tally against its analytic comparator."""
 
     violation_count: int
     trials: int
-    empirical_rate: Fraction
     bound_value: float
-    standard_error: float
     y_failure_count: Optional[int] = None
+
+    @property
+    def empirical_rate(self) -> Fraction:
+        return Fraction(self.violation_count, self.trials)
+
+    @property
+    def standard_error(self) -> float:
+        """The binomial standard error of the comparator rate at this trial
+        count (deterministic given the experiment); the acceptance gates
+        allow three of them as slack."""
+        return math.sqrt(max(self.bound_value * (1.0 - self.bound_value), 0.0) / self.trials)
 
     @property
     def y_failure_rate(self) -> Optional[Fraction]:
@@ -100,20 +93,6 @@ class TrialStats:
 
     def passes_gate(self) -> bool:
         return float(self.empirical_rate) <= self.bound_value + 3 * self.standard_error
-
-
-def _trial_stats(
-    violations: int, trials: int, bound: float, y_failures: Optional[int] = None
-) -> TrialStats:
-    """The tally with its empirical rate and the bound's binomial standard error."""
-    return TrialStats(
-        violation_count=violations,
-        trials=trials,
-        empirical_rate=Fraction(violations, trials),
-        bound_value=bound,
-        standard_error=math.sqrt(max(bound * (1.0 - bound), 0.0) / trials),
-        y_failure_count=y_failures,
-    )
 
 
 # numpy's SeedSequence constants (its hash mixes 32-bit words), the number
@@ -231,7 +210,7 @@ def run_safety_whp(exp: Experiment) -> TrialStats:
         seen = (honest_p if sees_passive else active_p) + sybil_p
         if not region.contains(verifier._binary_outcome(exp.mechanism, domain, seen, electorate)):
             violations += hits
-    return _trial_stats(violations, exp.trials, bound)
+    return TrialStats(violations, exp.trials, bound)
 
 
 def run_proxy_whp(exp: Experiment, c: Rational) -> TrialStats:
@@ -276,7 +255,7 @@ def run_proxy_whp(exp: Experiment, c: Rational) -> TrialStats:
             violations += 1
         if j_hat * c.denominator > y_limit:
             y_failures += 1
-    return _trial_stats(violations, exp.trials, bound, y_failures)
+    return TrialStats(violations, exp.trials, bound, y_failures)
 
 
 def hoeffding_diagnostic(
@@ -294,7 +273,7 @@ def hoeffding_diagnostic(
     if template.domain.kind != "binary":
         raise MechanismMismatch("the diagnostic runs on binary templates")
     _check_trials(trials)
-    honest_p = ballot_counts(template.counts, HONEST_CLASSES).get(template.domain.proposal, 0)
+    honest_p = sum(template.counts[c].get(template.domain.proposal, 0) for c in HONEST_CLASSES)
     honest = template.n_honest
     check_sample_size(n_plus, honest)
     psi = Fraction(honest_p, honest)
@@ -304,4 +283,4 @@ def hoeffding_diagnostic(
         active_p >= cutoff
         for active_p in _supporter_draws(honest_p, honest, n_plus, trials, seed)
     )
-    return _trial_stats(overshoots, trials, math.exp(-2 * float(epsilon) ** 2 * n_plus))
+    return TrialStats(overshoots, trials, math.exp(-2 * float(epsilon) ** 2 * n_plus))

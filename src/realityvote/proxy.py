@@ -6,18 +6,10 @@ proxy median is the weighted median of the active entities.  The analysis
 helpers compute the quantities used to certify the mechanism's safety
 envelope on concrete instances.
 
-Every function here runs on one sorted integer index of the population
-(``_ProxyIndex``): positions scaled to a common integer denominator and
-sorted once, so a delegation segment's follower count is two bisections.
-A Monte Carlo trial (``_ProxyIndex.trial``) builds only the outcome z on
-the original line and j-hat on the normalized one, both ints: O(n+ log n)
-integer work for n+ drawn actives, with no analysis, no Fraction and no
-size check (each run checks n+ once).  Rationals appear only in the
-returned values.
-
-Only ``sample_and_run`` builds a generator, so only it imports numpy;
-delegation, the median and the analysis run without it.  ``montecarlo``
-hands its own generators to ``_ProxyIndex.trial``.
+Everything runs on one sorted integer index of the population
+(``_ProxyIndex``; README "Exact interval kernels"), and rationals appear
+only in returned values.  Only ``sample_and_run`` builds a generator, so
+only it imports numpy.
 """
 
 from __future__ import annotations
@@ -202,10 +194,19 @@ class _ProxyIndex:
     def fraction(self, x: int) -> Fraction:
         return Fraction(x, self.scale)
 
+    @cached_property
+    def drawn(self) -> List[int]:
+        """The profile's own active honest voters, scaled, in profile order."""
+        return [self.up.honest[i] for i in self.active]
+
+    @cached_property
+    def own(self) -> Tuple[List[int], List[int]]:
+        """Their delegation with the status quo, built once for median and weights."""
+        return self.delegation(self.up, self.drawn)
+
     def median(self) -> Fraction:
         """The proxy median with the profile's own active voters (md_proxy)."""
-        drawn = [self.up.honest[i] for i in self.active]
-        return self.fraction(self.outcome(self.up, drawn))
+        return self.fraction(self.outcome(self.up, *self.own))
 
     def weights(
         self, include_status_quo: bool = True
@@ -213,11 +214,10 @@ class _ProxyIndex:
         """The delegation (see delegate) as (scaled position, position,
         weight) rows: the active voters' in profile order with int weights,
         and the status quo's (None when it is excluded)."""
-        line = self.up
-        drawn = [line.honest[i] for i in self.active]
+        line, drawn = self.up, self.drawn
         if not include_status_quo and not drawn and not line.sybils:
             raise NoProxyAvailable("no active voters and the status quo is excluded")
-        pool, cuts = self.delegation(line, drawn, include_status_quo)
+        pool, cuts = self.own if include_status_quo else self.delegation(line, drawn, False)
         on_proxy = Counter(drawn)
         followers = {x: cut - below - on_proxy[x] for x, cut, below in zip(pool, cuts, [0, *cuts])}
         passive = VoterClass.HONEST_PASSIVE
@@ -250,10 +250,9 @@ class _ProxyIndex:
         pool = sorted(pool)
         return pool, line.segments(pool)
 
-    def outcome(self, line: _Line, drawn: Sequence[int]) -> int:
-        """Proxy median: the least proxy whose inclusive prefix of delegated
-        mass covers half the total."""
-        pool, cuts = self.delegation(line, drawn)
+    def outcome(self, line: _Line, pool: List[int], cuts: List[int]) -> int:
+        """Proxy median of a delegation with the status quo: the least proxy
+        whose inclusive prefix of delegated mass covers half the total."""
         unit, sq, r, sybils = self.unit, self.status_quo_mass, line.r, line.sybils
 
         def prefix(k: int) -> int:
@@ -320,7 +319,7 @@ class _ProxyIndex:
         line, r = self.work, self.work.r
         drawn = sorted(line.honest[i] for i in chosen)
         h_star, h_hat = self.h_star, self.h_hat
-        z = self.outcome(line, drawn)
+        z = self.outcome(line, *self.delegation(line, drawn))
         nearest = _nearest(*_neighbours(h_star, drawn, line.sybils), h_star, r)
         d_star = abs(nearest - h_star)
 
@@ -362,8 +361,9 @@ class _ProxyIndex:
         """One random-participation trial drawn from rng, as ints (the caller
         checks n_plus): the template indices of the drawn honest voters, the
         outcome z on the original line and j-hat on the normalized one."""
-        chosen = rng.choice(len(self.up.honest), size=n_plus, replace=False).tolist()
-        z = self.outcome(self.up, [self.up.honest[i] for i in chosen])
+        up = self.up
+        chosen = rng.choice(len(up.honest), size=n_plus, replace=False).tolist()
+        z = self.outcome(up, *self.delegation(up, [up.honest[i] for i in chosen]))
         return chosen, z, self.j_hat(sorted(self.work.honest[i] for i in chosen))
 
 

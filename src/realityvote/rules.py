@@ -121,15 +121,8 @@ class Tally(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# Weighted medians on a sorted integer index (exact rational masses).
-#
-# Positions are scaled once to a common integer denominator and masses to
-# integers, so every comparison and prefix sum below runs on Python ints;
-# rationals come back only at the output boundary.  A weighted median reads
-# its electorate through a locator: least(target) is the least candidate
-# position whose doubled inclusive prefix mass reaches the target.  Over a
-# prefix array that is one bisection (locate); a caller that knows the
-# electorate's order statistics answers it without one.
+# Weighted medians on a sorted integer index of exact rational masses
+# (README "Exact interval kernels"): every comparison runs on ints.
 
 MassEntry = Tuple[Fraction, Rational]  # (position, mass)
 Prefix = Callable[[int], int]  # candidate index -> inclusive prefix mass

@@ -4,32 +4,10 @@ bounds.
 
 Everything here evaluates the definitions directly on small finite
 instances; the closed-form module is validated against these results, not
-the other way around.  Enumeration is over count tables and ballot-count
-multisets (the binary worst case builds no voter list), which is
-exhaustive because every implemented rule is anonymous.  The binary worst
-case evaluates one outcome per visible proposal count and asks the base
-side only for proposal outcomes (see min_alpha).
-
-One least-cost search (``_least_cost``) on honest and sybil ballot counts
-answers every reachability question: how many additions does it take to
-make this alternative the outcome?  Reachable sets grow with the budget,
-so that one number answers every budget: finite outcome ranges, the least
-safe alpha of a profile and the liveness budget all read it.  Removals are
-enumerated exhaustively over the honest ballot types; added voters cast
-only the target's support ballots (``_support_ballots``): the target
-itself, one target-first ranking, or, for the status quo under ranking
-ballots, every r-first ranking.  Swapping any added ballot for a support
-ballot never hurts the target, so the restriction loses nothing.  With one
-support ballot s, a removal of an honest voter on s and an addition on s
-cancel into the tally one budget lower, which the upward walk has already
-rejected; so those voters are never removed, and no tally is evaluated
-twice.  The counts left by each removal are built once per search and
-reused at every later budget, up to a fixed number of them.  On the line
-the range is an interval, found from sentinel movers
-(``_interval_ranges``), and the search walks the budget upward as on every
-other domain: the first budget whose interval holds the target answers.  A
-yes/no question at one budget (as ``is_live`` asks) is that search capped
-at the budget.
+the other way around.  Enumeration is over ballot counts, which is
+exhaustive because every implemented rule is anonymous, and every
+reachability question reads one least-cost search (``_least_cost``; README
+"One least-cost search answers every budget").
 """
 
 from __future__ import annotations
@@ -175,34 +153,18 @@ def _least_cost(
     cap: int,
 ) -> Optional[int]:
     """The least budget y at which an honest modification (x <= y removals,
-    y additions) elects the target, or None above cap.
+    y additions) elects the target, or None above cap; BudgetExceeded after
+    _WORK_LIMIT tallies.  On the line the walk reads _interval_ranges.
 
-    Additions run outermost, so the first electing tally answers; removals
-    are enumerated exhaustively over the honest ballot types and additions
-    spread over the target's support ballots (see _support_ballots).
-
-    With one support ballot s, removing a voter who casts s and adding one
-    back leaves the electorate and every count as they were: that tally is
-    the one with neither change, at one budget lower, which the walk has
-    already evaluated and rejected.  So the honest voters on s are never
-    removed; they join the fixed counts.  This drops only repeated tallies
-    and assumes nothing about the rule.  With several support ballots (r
-    under rankings) a removal from one support ballot plus an addition on
-    another is a new tally, so the enumeration stays whole there; testing a
-    per-removal set of cancelling pairs on every search won only 1 of 10
-    fresh-interpreter oracle_sweep pairs.
-
-    Removal level x, the counts left by each removal of x honest voters,
-    does not depend on the budget.  It is built once, while budget y = x
-    walks it, and read back in the same order at every later budget, so
-    the tallies, their order and where _WORK_LIMIT refuses are those of a
-    search that rebuilds it each time.  The electorate of level x at
-    budget y is the fixed voters plus h - x + y.  The kept levels hold at
-    most _LEVEL_LIMIT count dicts (a few tens of MB); a level that would
-    pass the limit is rebuilt at each budget instead.
-
-    The search gives up after _WORK_LIMIT tallies.  On the line the walk
-    reads the reachable interval at each budget (_interval_ranges).
+    README "One least-cost search answers every budget" says why its three
+    shortcuts lose nothing.  Each has a test in tests/test_verifier.py that
+    fails without it (the mutant table there lists them all):
+    * additions cast only _support_ballots:
+      test_status_quo_needs_every_r_first_ranking;
+    * the honest voters on a lone support ballot are never removed:
+      test_status_quo_search_removes_from_its_first_support_ballot;
+    * removal levels are built once and kept up to _LEVEL_LIMIT count
+      dicts, in the tally order TestTallySequence pins.
     """
     if domain.kind == "interval":
         ranges = _interval_ranges(mechanism, domain, honest_counts, sybil_counts)
@@ -280,24 +242,11 @@ def _interval_ranges(
     honest_counts: Dict[Fraction, int],
     sybil_counts: Dict[Fraction, int],
 ) -> Iterator[Tuple[Optional[Fraction], Optional[Fraction]]]:
-    """Extremes of the reachable median set via sentinel movers, at budget
-    0, 1, 2, ... in turn: budget y adds the splits with y additions.
-
-    For a fixed number of removals and additions, parking the movers past
-    all existing positions dominates any farther placement for a (weighted)
-    median, and removing from the opposite tail dominates other removal
-    choices.  The removal/addition split matters on its own, though: the
-    virtual status-quo mass scales with the electorate, so keeping an
-    original voter and adding a mover can beat replacing (extra mass breaks
-    a status-quo tie).  Hence the sweep over all splits.  A sentinel
-    outcome means the range is unbounded on that side.
-
-    Every split is evaluated on one sorted integer index of the honest
-    positions: the evaluated electorate is a contiguous slice of it plus
-    the sybils plus a mover block at a sentinel, so the median reads it
-    through its order statistics (_order_locator) with a few int
-    operations and no prefix array.
-    """
+    """The ends of the reachable median interval (None where it is unbounded)
+    at budget 0, 1, 2, ... in turn, from sentinel movers (README "One
+    least-cost search answers every budget").  Every (removals, additions)
+    split is evaluated: the virtual mass grows with the electorate, so
+    keeping a voter and adding a mover can beat replacing one."""
     r = domain.status_quo_position
     rules._rule(mechanism, domain)  # MechanismMismatch unless a line rule
     scale = rules.position_scale([*honest_counts, *sybil_counts, r])
@@ -522,18 +471,14 @@ def min_alpha(
     mechanism: Mechanism, base: Mechanism, shape: Tuple[int, Rational, Rational]
 ) -> Fraction:
     """Worst case over every binary profile of the given shape of the minimal
-    safe alpha.  Honest actives, passive private votes, and sybil ballots are
-    all enumerated; nothing is assumed about where the worst case lies.
-
-    The shape fixes the visible electorate (n under full participation,
-    h+ + s otherwise), so an anonymous binary rule's outcome z is a function
-    of the visible proposal count, k + j + s_p or k + s_p: it is evaluated
-    once per count.  The status quo is safe at alpha 0, so the base side is
-    asked only for z = p, once per proposal count the base sees among the
-    honest voters (k + j, or k for an active-only base): within a shape that
-    count fixes the answer, an int numerator over the h honest voters.  The
-    populations with one such count show a contiguous range of visible
-    proposal counts, so it is asked when p wins anywhere in that range."""
+    safe alpha, a multiple of one over the honest count.  Honest actives,
+    passive private votes and sybil ballots are all enumerated; nothing is
+    assumed about where the worst case lies (README "A binary outcome is a
+    function of the visible proposal count" says how each outcome is asked
+    once).  UnrealizableShape for a shape no population has;
+    MechanismMismatch when the base, then the mechanism, cannot run on the
+    binary domain; BudgetExceeded when replacing every honest voter is not
+    enough."""
     domain = DomainSpec.binary()
     n, s, hm = _shape_counts(shape)
     h_plus, h = n - s - hm, n - s
@@ -565,9 +510,9 @@ def min_alpha(
 
 def visible_honest(mechanism: Mechanism, shape: Tuple[int, Rational, Rational]) -> int:
     """Honest voters of the shape the mechanism sees (the liveness budget's
-    unit): the actives under active-only restriction, else every one."""
+    unit): every one under full participation, else the actives."""
     n, s, hm = _shape_counts(shape)
-    return n - s - hm if mechanism.participation == "active" else n - s
+    return n - s - (0 if VoterClass.HONEST_PASSIVE in rules.visible_classes(mechanism) else hm)
 
 
 def _live_cost(

@@ -560,6 +560,17 @@ class TestEval:
         positions = {b for _, b in ORDER_POP.voters}
         assert sorted(scaled) == sorted([*positions, ORDER_POP.domain.status_quo_position])
 
+    def test_proxy_eval_delegates_once(self, order_file, monkeypatch):
+        # The outcome and the entity rows read one delegation of the
+        # profile's own actives.
+        from realityvote import proxy
+
+        calls, real = [], proxy._ProxyIndex.delegation
+        monkeypatch.setattr(proxy._ProxyIndex, "delegation",
+                            lambda *args: calls.append(args) or real(*args))
+        assert main(["eval", "--profile", order_file, "--mechanism", "md re:1/5 mode:proxy"]) == 0
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("spec", ["md re:1/5 mode:active", "som:1/5 mode:active"])
     def test_median_eval_scales_each_visible_position_once_and_builds_no_table(
         self, order_file, spec, monkeypatch

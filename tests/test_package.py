@@ -4,6 +4,7 @@ import importlib
 import json
 import os
 import pkgutil
+import re
 import runpy
 import subprocess
 import sys
@@ -82,6 +83,35 @@ def test_traced_names_exist():
     verifier = importlib.import_module("realityvote.verifier")
     assert callable(verifier._cached_range)
     assert isinstance(verifier._range_cache, dict)
+
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+_BACKTICKED = re.compile(r"`(\w+)\.(\w+)")
+
+
+def test_cited_readme_headings_exist():
+    # Docstrings give their reasons as README "<heading>"; renaming a
+    # section must not leave a citation behind.
+    headings = set(re.findall(r"^## (.+)$", README, flags=re.M))
+    cited = {
+        " ".join(heading.split())  # a citation may wrap across lines
+        for path in Path(realityvote.__file__).parent.glob("*.py")
+        for heading in re.findall(r'README\s+"([^"]+)"', path.read_text(encoding="utf-8"))
+    }
+    assert cited and sorted(cited - headings) == []
+
+
+def test_readme_names_resolve():
+    # Every backticked `module.name` in README exists in realityvote.<module>,
+    # except the names README lists as removed from the public surface.
+    removed = README.split("Removed from the public surface", 1)[1].split("\n## ", 1)[0]
+    modules = {info.name for info in pkgutil.iter_modules(realityvote.__path__)}
+    stale = {
+        f"{module}.{name}"
+        for module, name in _BACKTICKED.findall(README)
+        if module in modules and not hasattr(importlib.import_module(f"realityvote.{module}"), name)
+    }
+    assert sorted(stale - {".".join(pair) for pair in _BACKTICKED.findall(removed)}) == []
 
 
 SOURCES = {

@@ -740,6 +740,21 @@ def test_profile_answer_matches_int_base_side(mech, base, active, passive, sybil
     assert min_alpha_for_profile(mech, base, prof) == want
 
 
+# _least_cost's mutant table: each shortcut's mutants and the tests that
+# fail on them (criteria 3 and 9 fail either way).
+# - Support ballots widened, every target given all its target-first
+#   rankings: TestWorkLimit::test_oversized_search_still_refused.
+# - Support ballots narrowed, r given one r-first ranking:
+#   test_status_quo_needs_every_r_first_ranking,
+#   test_status_quo_search_removes_from_its_first_support_ballot,
+#   test_status_quo_cost_matches_voter_level_on_every_small_ranking_instance
+#   and TestTallySequence's "cc r-target" cases.
+# - stay = support[0] on every search:
+#   test_status_quo_search_removes_from_its_first_support_ballot and
+#   test_status_quo_cost_matches_voter_level_on_every_small_ranking_instance.
+# - A level read back at the wrong x (levels.get(x - 1)): TestTallySequence,
+#   TestMinAlpha, TestAgainstDirectEnumeration and 70 more tests.
+# - _LEVEL_LIMIT ignored: TestTallySequence's "limit 1" and "limit 0" cases.
 class TestWorkLimit:
     RANKINGS = ["a>b>r", "r>a>b", "b>r>a", "a>r>b"]
 
@@ -1102,6 +1117,26 @@ class TestAgainstDirectEnumeration:
         assert verifier._least_cost(mech, _THREE, honest_counts, sybils, "r", 3) == 1
         reachable = outcome_range(mech, prof, F(1, 3)).reachable
         assert reachable == direct_outcome_range(mech, prof, F(1, 3)) == {"r", "a"}
+
+    def test_status_quo_cost_matches_voter_level_on_every_small_ranking_instance(self):
+        # Every cc instance with 1-3 honest rankings and 0-3 sybils on one
+        # ranking, at three taus: 4,731 searches for r at cap 2.  Random
+        # draws rarely reach the few whose cheapest modification removes a
+        # voter from r's first support ranking (the instance above is one).
+        rankings = list(itertools.permutations(_THREE.alternatives))
+        honest_sets = [h for size in (1, 2, 3)
+                       for h in itertools.combinations_with_replacement(rankings, size)]
+        sybil_blocks = [()] + [(b,) * k for b in rankings for k in (1, 2, 3)]
+        for honest, sybils in itertools.product(honest_sets, sybil_blocks):
+            prof = build_profile(
+                _THREE, [(ACTIVE, b) for b in honest] + [(SYBIL, b) for b in sybils])
+            for tau in (F(0), F(1, 4), F(1, 2)):
+                mech = Mechanism("cc", re_tau=tau)
+                direct = next((b for b in range(3) if "r" in direct_outcome_range(
+                    mech, prof, F(b, len(honest)))), None)
+                counts, sybil_counts = verifier._split(mech, prof.counts)
+                cost = verifier._least_cost(mech, _THREE, counts, sybil_counts, "r", 2)
+                assert cost == direct, (honest, sybils, tau)
 
     def test_hypercube_ranges_match_voter_level_definition(self):
         cube = DomainSpec.hypercube(2, (0, 0))
