@@ -100,9 +100,7 @@ def _entity_lines(index) -> List[str]:
     position and one position's voters in profile order."""
     rows, (r, position, weight) = index.weights()
     rows.sort(key=_position_of)  # stable
-    labels = {x: p for x, p, _ in rows}  # each distinct position formatted once
-    labels = {x: format_rational(p) for x, p in labels.items()}
-    lines = [f"  {labels[x]}: {w}" for x, _, w in rows]
+    lines = [f"  {format_rational(p)}: {w}" for _, p, w in rows]
     status_quo = f"  {format_rational(position)}: {format_rational(weight)} (status quo)"
     lines.insert(bisect.bisect_left(rows, r, key=_position_of), status_quo)
     return lines

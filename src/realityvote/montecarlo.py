@@ -40,9 +40,9 @@ class Experiment:
     """A safety-with-high-probability experiment.
 
     ``profile`` is the template: full honest private ballots plus sybil
-    ballots; which honest voters are active is what gets resampled.
-    ``alpha_prime`` is the probed safety budget (strictly above the
-    guarantee's alpha), ``n_plus`` the active sample size.
+    ballots; which honest voters are active, ``n_plus`` of them, is what gets
+    resampled.  ``alpha_prime`` is ``run_safety_whp``'s budget (strictly above
+    the guarantee's alpha); ``run_proxy_whp`` probes c plus the proxy threshold.
     """
 
     profile: Profile

@@ -44,8 +44,8 @@ class ProxyEntity:
 
 @dataclass(frozen=True)
 class DelegationWeights:
-    """Per-entity weights: 1 + follower count for voters, and the virtual
-    mass plus followers for the status quo."""
+    """Per-entity weights: the voters' in profile order (1 + followers),
+    then the status quo's (the virtual mass plus followers)."""
 
     entities: Tuple[ProxyEntity, ...]
 
@@ -230,15 +230,6 @@ class _ProxyIndex:
         weight = Fraction(self.status_quo_mass, self.unit) + followers.pop(line.r, 0)
         return rows, (line.r, self.r, weight)
 
-    def entities(self, include_status_quo: bool = True) -> Tuple[ProxyEntity, ...]:
-        """The delegation's entities (see delegate): the voters in profile
-        order, then the status quo."""
-        rows, status_quo = self.weights(include_status_quo)
-        entities = [ProxyEntity(position, Fraction(weight)) for _, position, weight in rows]
-        if status_quo is not None:
-            entities.append(ProxyEntity(self.r, status_quo[2], is_status_quo=True))
-        return tuple(entities)
-
     def delegation(
         self, line: _Line, drawn: Sequence[int], include_status_quo: bool = True
     ) -> Tuple[List[int], List[int]]:
@@ -385,7 +376,11 @@ def delegate(
     its first active voter in profile order.
     """
     index = _ProxyIndex(profile, re_tau, r_unit_weight)
-    return DelegationWeights(entities=index.entities(include_status_quo))
+    rows, status_quo = index.weights(include_status_quo)
+    entities = [ProxyEntity(position, Fraction(weight)) for _, position, weight in rows]
+    if status_quo is not None:
+        entities.append(ProxyEntity(index.r, status_quo[2], is_status_quo=True))
+    return DelegationWeights(entities=tuple(entities))
 
 
 def weighted_median(entries: Sequence[Tuple[Rational, Rational]]) -> Fraction:
@@ -408,12 +403,10 @@ def nearest_entity_to(
 ) -> Fraction:
     """Position of the active entity (status quo included) nearest to a
     target, with the delegation tie rule."""
-    r, target = profile.domain.status_quo_position, as_fraction(target)
+    r = profile.domain.status_quo_position
     actives = [b for cls, b in profile.voters if cls is not VoterClass.HONEST_PASSIVE]
-    scale = rules.position_scale([*actives, r, target])
-    pool = sorted({rules.scaled(p, scale) for p in actives} | {rules.scaled(r, scale)})
-    t = rules.scaled(target, scale)
-    nearest = _nearest(*_neighbours(t, pool), t, rules.scaled(r, scale))
+    scale, (t, r_x, *xs) = rules.scale_positions([as_fraction(target), r, *actives], r)
+    nearest = _nearest(*_neighbours(t, sorted({r_x, *xs})), t, r_x)
     return Fraction(nearest, scale)
 
 

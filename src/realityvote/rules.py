@@ -141,12 +141,9 @@ def scaled(position: Fraction, scale: int) -> int:
 
 def scale_positions(positions: Sequence[Fraction], r: Fraction) -> Tuple[int, List[int]]:
     """The least common scale of the positions and r, and the positions on
-    it in order; each distinct position object (a file's voters share them)
-    is scaled once."""
-    distinct = {id(p): p for p in positions}
-    scale = position_scale([*distinct.values(), r])
-    at = {key: scaled(p, scale) for key, p in distinct.items()}
-    return scale, [at[id(p)] for p in positions]
+    it in order (r itself is not scaled)."""
+    scale = position_scale([*positions, r])
+    return scale, [scaled(p, scale) for p in positions]
 
 
 def locate(xs: Sequence[int], prefix: Prefix) -> Locator:

@@ -541,9 +541,8 @@ class TestEval:
     def test_proxy_eval_builds_one_index_and_scales_each_position_once(
         self, order_file, monkeypatch, capsys
     ):
-        # The outcome and the entity weights come from one index, and the
-        # voters read from the file share their position objects, so each
-        # distinct position (and the domain's r) is scaled once.
+        # The outcome and the entity weights come from one index, which
+        # scales each voter's position (passive ones too) and r once.
         from realityvote import proxy, rules
 
         scaled, indices = [], []
@@ -557,7 +556,7 @@ class TestEval:
         monkeypatch.setattr(proxy._ProxyIndex, "__init__", init)
         assert main(["eval", "--profile", order_file, "--mechanism", "md re:1/5 mode:proxy"]) == 0
         assert len(indices) == 1
-        positions = {b for _, b in ORDER_POP.voters}
+        positions = [b for _, b in ORDER_POP.voters]
         assert sorted(scaled) == sorted([*positions, ORDER_POP.domain.status_quo_position])
 
     def test_proxy_eval_delegates_once(self, order_file, monkeypatch):
@@ -575,7 +574,7 @@ class TestEval:
     def test_median_eval_scales_each_visible_position_once_and_builds_no_table(
         self, order_file, spec, monkeypatch
     ):
-        # The tally is counted on the integer index: each distinct visible
+        # The tally is counted on the integer index: each visible voter's
         # position (and r) is scaled once, for the median and the print
         # order alike, and no Fraction-keyed count table is built.
         from realityvote import population, rules
@@ -586,7 +585,7 @@ class TestEval:
         monkeypatch.setattr(population, "_count_table",
                             lambda *args: tables.append(args) or real_table(*args))
         assert main(["eval", "--profile", order_file, "--mechanism", spec]) == 0
-        visible = {b for cls, b in ORDER_POP.voters if cls is not PASSIVE}
+        visible = [b for cls, b in ORDER_POP.voters if cls is not PASSIVE]
         assert sorted(scaled) == sorted([*visible, ORDER_POP.domain.status_quo_position])
         assert tables == []
 

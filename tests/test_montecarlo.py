@@ -194,6 +194,15 @@ class TestProxyWhp:
         run_proxy_whp(proxy_experiment(trials=5, mechanism=mechanism), F(1, 20))
         assert gammas == [F(1, 20) + F(1, 5) / (2 * F(4, 5))]
 
+    def test_alpha_prime_is_not_read(self):
+        # The budget is c plus the proxy threshold whatever the experiment's
+        # alpha_prime; at 9/10 it would leave no violation.
+        near, far = (
+            run_proxy_whp(proxy_experiment(trials=30, alpha_prime=a), F(1, 20))
+            for a in (F(1, 20), F(9, 10))
+        )
+        assert near == far and near.violation_count > 0
+
     @pytest.mark.parametrize(
         "mechanism, message",
         [pytest.param(mechanism, message, id=mechanism.describe()) for mechanism, message in [

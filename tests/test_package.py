@@ -9,6 +9,7 @@ import runpy
 import subprocess
 import sys
 import typing
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -172,6 +173,26 @@ def test_every_private_module_name_has_a_reader():
         for name in _defined_names(statement)
         if name.startswith("_") and not name.startswith("__")
         and not any(name in read for _, other, read in statements if other is not statement)
+    ]
+    assert unread == []
+
+
+def test_every_private_class_member_has_a_reader():
+    # A method or property of a private class that nothing in the package
+    # reads outside its own definition is dead code, as above.
+    members = [
+        (f"{module}.{cls.name}.{member.name}", member)
+        for module, tree in SOURCES.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and cls.name.startswith("_")
+        for member in cls.body
+        if isinstance(member, ast.FunctionDef) and not member.name.startswith("__")
+    ]
+    assert members
+    reads = Counter(name for tree in SOURCES.values() for name in _loaded_names(tree))
+    unread = [
+        label for label, member in members
+        if reads[member.name] == list(_loaded_names(member)).count(member.name)
     ]
     assert unread == []
 
